@@ -7,11 +7,11 @@ export PYTHONPATH := src
 
 .PHONY: test lint check http-smoke bench profile faults serve-bench \
 	parallel-bench tail-demo alerts-demo fleet-demo fleet-bench slo-demo \
-	quant-demo quant-bench
+	quant-demo quant-bench perfbench perfbench-test
 
-# tests/test_detector_block.py (the push_block ≡ push_collect
-# bit-identity gate for the serve fast path) rides along here, so
-# `make check` always re-proves the identity.
+# tests/test_detector_block.py (the bit-identity gate holding push_block
+# and push to the per-sample oracle in tests/detector_oracle.py) rides
+# along here, so `make check` always re-proves the identity.
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -92,3 +92,18 @@ quant-bench:
 slo-demo:
 	mkdir -p benchmarks/results
 	$(PYTHON) -m repro slo | tee benchmarks/results/slo_report.txt
+
+# The serve benchmark declared in BENCHMARK.json: every workload once at
+# seed 0, untraced (end-to-end metrics plus the correctness check).  Not
+# part of `make check`: each run takes ~20 s of wall clock.
+PERFBENCH_WORKLOADS := bulk_int8 packets_faulty wearable_push fleet_2shard
+
+perfbench:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 0 --trace 0 \
+			|| exit 1; \
+	done
+
+# The benchmark's own tests (metric names, pins, span accounting).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q

@@ -1,16 +1,19 @@
 """Streaming real-time fall detector and airbag controller.
 
-This is the deployment-side view of the method: samples arrive one at a
-time (100 Hz), the firmware fuses Euler angles, low-pass filters the
-9-channel stream *causally* (zero-phase filtering needs the future, so
-real time uses the forward-only Butterworth — same coefficients), keeps a
-ring buffer one window long and runs the CNN every hop.
+This is the deployment-side view of the method: the firmware fuses Euler
+angles, low-pass filters the 9-channel stream *causally* (zero-phase
+filtering needs the future, so real time uses the forward-only
+Butterworth — same coefficients), keeps the last window of samples and
+runs the CNN every hop.  One implementation ingests samples,
+:meth:`FallDetector.push_block`, vectorized over whatever block the
+caller has; a wearable that sees one 100 Hz sample at a time calls
+:meth:`FallDetector.push`, which is a one-row block.
 
 Unlike the offline pipeline, the live path cannot assume a perfect
-stream.  :meth:`FallDetector.push` therefore validates and repairs every
-sample (NaN/Inf → hold-last, rail clamping), bridges short timestamp gaps
-by interpolation, resets and re-primes its streaming state after long
-ones, and tracks a three-state health machine:
+stream.  Ingestion therefore validates and repairs every sample
+(NaN/Inf → hold-last, rail clamping), bridges short timestamp gaps by
+interpolation, resets and re-primes its streaming state after long ones,
+and tracks a three-state health machine:
 
 ``healthy``
     Clean stream, CNN path nominal.
@@ -82,6 +85,15 @@ _HEALTH_LEVEL = {HEALTHY: 0, DEGRADED: 1, FAULT: 2}
 #: 1 g gravity on z for the accelerometer, zero rates for the gyro.
 _REPAIR_DEFAULTS = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 _REPAIR_DEFAULTS.setflags(write=False)
+#: The "previous sample" of a stream's first sample: equal to nothing.
+_NAN_ROW = np.full((1, 6), np.nan)
+_NAN_ROW.setflags(write=False)
+
+#: ``any``/``all`` as bare ufunc reductions (``axis`` positional, ``None``
+#: for the whole array): ``ndarray.any``/``all`` add a Python-level
+#: wrapper per call, which shows on the one-row blocks ``push`` feeds.
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
 
 
 def _running_streak(cond: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -151,9 +163,10 @@ class DetectorConfig:
     #: Per-stage latency attribution (:class:`repro.obs.StageTimer`):
     #: paired clock reads around each pipeline stage, flushed into
     #: off-registry histograms on every completed window.  The clock
-    #: reads cannot perturb the data path, so the ``push_block ≡
-    #: push_collect`` bit-identity holds with timing enabled; the
-    #: overhead is a handful of ``perf_counter`` calls per sample.
+    #: reads cannot perturb the data path, so ``push_block`` stays
+    #: bit-identical to the per-sample reference in
+    #: ``tests/detector_oracle.py`` with timing enabled; the overhead is
+    #: a handful of ``perf_counter`` calls per block.
     stage_timing: bool = True
 
     def __post_init__(self):
@@ -205,14 +218,15 @@ class Detection:
 
 @dataclass(frozen=True)
 class WindowRequest:
-    """One CNN window inference staged by :meth:`FallDetector.push_collect`.
+    """One CNN window inference staged by :meth:`FallDetector.push_block`.
 
     Captures everything the deferred decision needs at staging time: a
-    *copy* of the filtered/scaled window (the ring buffer keeps moving),
-    the sample index and timestamp the eventual :class:`Detection` must
-    carry, and whether the magnitude fallback fired on that sample (so a
-    failed inference can fall back exactly like the inline path).  Pass it
-    back to :meth:`FallDetector.complete` with the model's probability.
+    *copy* of the filtered/scaled window (the window buffer keeps
+    moving), the sample index and timestamp the eventual
+    :class:`Detection` must carry, and whether the magnitude fallback
+    fired on that sample (so a failed inference still falls back on
+    that sample).  Pass it back to :meth:`FallDetector.complete` with
+    the model's probability.
     """
 
     window: np.ndarray
@@ -262,9 +276,9 @@ class MagnitudeFallback:
         """Feed one repaired accel sample; True when the dip+range fires."""
         # math.sqrt over an explicit sum matches np.linalg.norm bitwise on
         # a 3-vector (same left-to-right accumulation) at a fraction of
-        # the per-call dispatch cost — this runs once per sample.  The
-        # block path vectorises the same expression (elementwise, same
-        # association) and feeds push_mag directly.
+        # the per-call dispatch cost.  FallDetector.push_block vectorises
+        # the same expression (elementwise, same association) and feeds
+        # push_mag directly.
         x, y, z = accel_g
         return self.push_mag(math.sqrt(x * x + y * y + z * z))
 
@@ -288,7 +302,7 @@ class MagnitudeFallback:
 
 
 class FallDetector:
-    """Sample-by-sample detector around any trained window model.
+    """Streaming detector around any trained window model.
 
     ``model`` is anything with ``predict(x)`` accepting ``(1, window, 9)``
     and returning a sigmoid probability — a float :class:`repro.nn.Model`
@@ -296,9 +310,10 @@ class FallDetector:
     disables the CNN branch entirely: the detector runs fallback-only and
     reports ``fault`` health (the primary path is unavailable).
 
-    ``push`` never raises on bad *data* (non-finite readings, saturated
-    rails, missing samples, a dead sensor) and never emits a non-finite
-    probability; see the module docstring for the health state machine.
+    ``push``/``push_block`` never raise on bad *data* (non-finite
+    readings, saturated rails, missing samples, a dead sensor) and never
+    emit a non-finite probability; see the module docstring for the
+    health state machine.
 
     ``registry`` / ``metric_prefix`` namespace the exported metrics per
     instance.  The defaults (the process-wide registry, prefix
@@ -537,59 +552,6 @@ class FallDetector:
     # ------------------------------------------------------------------
     # hardening internals
     # ------------------------------------------------------------------
-    def _validate(self, accel: np.ndarray, gyro: np.ndarray):
-        """Repair non-finite readings and clamp to the sensor rails.
-
-        Returns ``(accel, gyro, anomaly)``.  Non-finite entries hold the
-        last repaired value (bootstrap: 1 g gravity for accel, zero rate
-        for gyro); out-of-range entries clip.  Also feeds the stuck-channel
-        and dead-sensor trackers.
-        """
-        cfg = self.config
-        raw = np.concatenate([accel, gyro])
-        exact = raw.copy()
-        bad = ~np.isfinite(raw)
-        anomaly = False
-        if bad.any():
-            if self._last_raw is not None:
-                raw[bad] = self._last_raw[bad]
-            else:
-                raw[bad] = _REPAIR_DEFAULTS[bad]
-            self.repaired_samples += 1
-            self._counter("repaired_samples").inc()
-            anomaly = True
-        rails = self._rails
-        clipped = np.abs(raw) > rails
-        if clipped.any():
-            raw = np.clip(raw, -rails, rails)
-            self.saturated_samples += 1
-            self._counter("saturated_samples").inc()
-            anomaly = True
-        # Stuck-at tracking on the *exact* incoming values: genuine IMU
-        # noise never repeats bit-identically, so an exact repeat streak
-        # marks a frozen channel; a non-finite reading also counts against
-        # its sensor.
-        if self._prev_raw_exact is not None:
-            same = np.zeros(6, dtype=bool)
-            both_finite = np.isfinite(exact) & np.isfinite(self._prev_raw_exact)
-            same[both_finite] = (
-                exact[both_finite] == self._prev_raw_exact[both_finite]
-            )
-            stuck_or_bad = same | bad
-            self._channel_stuck_streak = np.where(
-                stuck_or_bad, self._channel_stuck_streak + 1, 0
-            )
-        self._prev_raw_exact = exact
-        for s, sl in enumerate((slice(0, 3), slice(3, 6))):
-            if (self._channel_stuck_streak[sl] >= 1).all() or bad[sl].all():
-                self._sensor_bad_streak[s] += 1
-            else:
-                self._sensor_bad_streak[s] = 0
-        if (self._channel_stuck_streak >= cfg.stuck_channel_samples).any():
-            anomaly = True
-        self._last_raw = raw
-        return raw[:3], raw[3:], anomaly
-
     @property
     def accel_dead(self) -> bool:
         if self._dead_override is not None:
@@ -605,90 +567,6 @@ class FallDetector:
         return bool(
             self._sensor_bad_streak[1] >= self.config.dead_sensor_samples
         )
-
-    def _handle_timestamp(self, t: float | None) -> tuple[int, bool, bool]:
-        """Classify the inter-sample interval.
-
-        Returns ``(n_fill, long_gap, anomaly)``: how many missing samples
-        to synthesise, whether the gap exceeded ``max_gap_ms`` (stream
-        reset required), and whether anything about the clock was off.
-        """
-        if self._last_t is None:
-            return 0, False, False
-        if t is None:
-            # An untimestamped sample inside a timestamped stream: the
-            # clock evidence for this interval is gone, so the caller
-            # advances ``_last_t`` by one nominal period (keeping the gap
-            # and clock checks armed for the *next* sample) and the lapse
-            # itself counts as a clock anomaly.
-            self.clock_anomalies += 1
-            self._counter("clock_anomalies").inc()
-            return 0, False, True
-        cfg = self.config
-        dt_nom = self._dt_nom
-        dt = t - self._last_t
-        if dt < 0.5 * dt_nom:
-            # Early, duplicate or backwards timestamp: process the sample,
-            # note the clock anomaly.
-            self.clock_anomalies += 1
-            self._counter("clock_anomalies").inc()
-            return 0, False, True
-        missing = int(round(dt / dt_nom)) - 1
-        if missing <= 0:
-            return 0, False, False
-        if dt * 1000.0 > cfg.max_gap_ms:
-            return 0, True, True
-        return missing, False, True
-
-    def _reset_stream_state(self) -> None:
-        """Long gap: drop filter/fusion/window state and re-prime.
-
-        The filter re-initialises at steady state from the next sample and
-        the CNN stays silent until its window refills (warm-up); the
-        fallback keeps guarding throughout.
-        """
-        self._init_stream_state()
-        self.stream_resets += 1
-        self._counter("stream_resets").inc()
-
-    def _ingest(self, accel: np.ndarray, gyro: np.ndarray) -> bool:
-        """Fuse, filter, scale and buffer one sample; True when a window
-        inference is due (first full window, then every hop)."""
-        st = self.stages
-        clk = st.clock if st is not None else None
-        if clk is not None:
-            t0 = clk()
-        euler = self._fusion.update(accel, gyro)
-        if clk is not None:
-            t1 = clk()
-            st.add("fusion", t1 - t0)
-        raw = np.concatenate([accel, gyro, euler])
-        filtered = self._filter.process(raw[None, :])[0]
-        if clk is not None:
-            t2 = clk()
-            st.add("filter", t2 - t1)
-        filtered = filtered / self._scales
-        # Ring-buffer shift (window lengths are tens of samples; a roll is
-        # cheap and keeps the window contiguous for the model).
-        self._buffer[:-1] = self._buffer[1:]
-        self._buffer[-1] = filtered
-        if self._filled < self._window_n:
-            self._filled += 1
-            if self._filled < self._window_n:
-                due = False
-            else:
-                self._since_last_inference = 0  # first full window: infer now
-                due = True
-        else:
-            self._since_last_inference += 1
-            if self._since_last_inference < self._hop_n:
-                due = False
-            else:
-                self._since_last_inference = 0
-                due = True
-        if clk is not None:
-            st.add("window", clk() - t2)
-        return due
 
     @property
     def _cnn_available(self) -> bool:
@@ -740,21 +618,11 @@ class FallDetector:
         self._shed_hops_left = self.config.shed_retry_hops
         self._hit_streak = 0
 
-    def _stage(self, window_due: bool, fallback_hit: bool,
-               time_s: float, *, window_ready: bool | None = None,
-               window: np.ndarray | None = None) -> WindowRequest | None:
-        """Pre-inference half of a decision: shed-probe bookkeeping, then
-        stage a :class:`WindowRequest` when a CNN inference is due.
-
-        The block path passes ``window_ready`` (each row's view of the
-        warm-up state) and ``window`` (a view into the grown history)
-        explicitly; the per-sample path reads both off the live ring
-        buffer.
-        """
-        if window_ready is None:
-            window_ready = self._filled >= self._window_n
-        if not (window_due and window_ready):
-            return None
+    def _stage(self, window: np.ndarray, fallback_hit: bool,
+               time_s: float) -> WindowRequest | None:
+        """Pre-inference half of a due window's decision: shed-probe
+        bookkeeping, then a :class:`WindowRequest` holding a copy of
+        ``window`` when the CNN is available."""
         if self._cnn_shed:
             # Load shedding: skip the CNN for shed_retry_hops hops, then
             # give it one probe inference to prove it recovered.
@@ -764,8 +632,7 @@ class FallDetector:
                 self._consecutive_violations = 0
         if self._cnn_available:
             return WindowRequest(
-                window=(self._buffer.copy() if window is None
-                        else window.copy()),
+                window=window.copy(),
                 sample_index=self._sample_index,
                 time_s=time_s,
                 fallback_hit=fallback_hit,
@@ -805,9 +672,8 @@ class FallDetector:
         ``latency_ms`` feeds the deadline monitor (the micro-batching
         engine charges every window the wall-clock of its whole batch —
         the result is not available any earlier).  ``failed=True`` reports
-        that the model raised: the CNN is shed exactly like the inline
-        path, and the staged fallback evidence still guards the sample.
-        Mirrors the inline ``push`` decision bit for bit; never raises.
+        that the model raised: the CNN is shed, and the staged fallback
+        evidence still guards the sample.  Never raises.
         """
         if self.stages is not None:
             # One completed window closes out one attribution sample: the
@@ -882,7 +748,7 @@ class FallDetector:
         return None
 
     def _run_model(self, request: WindowRequest) -> Detection | None:
-        """Inline inference for one staged request: guarded forward pass,
+        """Run the model on one staged request: guarded forward pass,
         then :meth:`complete` with the measured latency."""
         t0 = time.perf_counter()
         try:
@@ -896,190 +762,69 @@ class FallDetector:
         latency_ms = 1000.0 * (time.perf_counter() - t0)
         return self.complete(request, prob, latency_ms=latency_ms)
 
-    def _decide(self, window_due: bool, fallback_hit: bool, time_s: float,
-                collect: list | None = None, *,
-                window_ready: bool | None = None,
-                window: np.ndarray | None = None) -> Detection | None:
-        """Turn this sample's evidence into (at most) one detection.
-
-        With ``collect`` (deferred mode) a due CNN window is appended to
-        the list as a :class:`WindowRequest` instead of being inferred
-        here — the caller owns running the model and feeding the result to
-        :meth:`complete`.  ``window_ready`` / ``window`` carry the block
-        path's per-row state (see :meth:`_stage`).
-        """
-        st = self.stages
-        clk = st.clock if st is not None else None
-        if clk is not None:
-            t0 = clk()
-        if window_ready is None:
-            window_ready = self._filled >= self._window_n
-        request = self._stage(window_due, fallback_hit, time_s,
-                              window_ready=window_ready, window=window)
-        if request is not None:
-            if collect is not None:
-                collect.append(request)
-                if clk is not None:
-                    st.add("decision", clk() - t0)
-                return None
-            if clk is not None:
-                # The model run times itself into the inference stage via
-                # `complete`; only the staging cost lands in decision.
-                st.add("decision", clk() - t0)
-            return self._run_model(request)
-        hit = self._fallback_decide(fallback_hit, time_s,
-                                    self._sample_index, window_ready)
-        if clk is not None:
-            st.add("decision", clk() - t0)
-        return hit
-
     # ------------------------------------------------------------------
     # streaming API
     # ------------------------------------------------------------------
     def push(self, accel_g, gyro_dps, t: float | None = None) -> Detection | None:
         """Feed one sample; returns a :class:`Detection` when a path fires.
 
-        The inference cadence matches the offline segmentation: the first
-        window is evaluated once full, then every ``hop_samples``.  ``t``
-        is the sample timestamp in seconds; when provided, missing samples
-        are detected from the inter-arrival time — short gaps (≤
-        ``max_gap_ms``) are bridged with linearly interpolated fill
-        samples, longer ones reset the streaming state.  Without
-        timestamps the stream is assumed gapless at the nominal rate.
+        A one-row :meth:`push_block` whose staged windows are inferred
+        before returning, in order.  The inference cadence matches the
+        offline segmentation: the first window is evaluated once full,
+        then every ``hop_samples``.  ``t`` is the sample timestamp in
+        seconds; when provided, missing samples are detected from the
+        inter-arrival time — short gaps (≤ ``max_gap_ms``) are bridged
+        with linearly interpolated fill samples, longer ones reset the
+        streaming state.  Without timestamps the stream is assumed
+        gapless at the nominal rate.  When a gap's fill samples fire too,
+        the earliest detection is returned.
         """
-        detection, _ = self._push(accel_g, gyro_dps, t, collect=None)
-        return detection
+        hits, requests = self.push_block(
+            np.asarray(accel_g, dtype=float).reshape(1, 3),
+            np.asarray(gyro_dps, dtype=float).reshape(1, 3),
+            None if t is None else (t,),
+        )
+        for request in requests:
+            hit = self._run_model(request)
+            if hit is not None:
+                hits.append(hit)
+        if not hits:
+            return None
+        return min(hits, key=lambda d: d.sample_index)
 
-    def push_collect(
-        self, accel_g, gyro_dps, t: float | None = None,
-    ) -> tuple[Detection | None, list[WindowRequest]]:
-        """:meth:`push` with deferred CNN inference (micro-batching hook).
-
-        Advances all streaming state exactly like :meth:`push`, but
-        instead of running the model inline, every due window is returned
-        as a staged :class:`WindowRequest` — the caller batches requests
-        across streams, runs one ``model.predict``, and feeds each result
-        to :meth:`complete`, which finishes the decision (deadline
-        accounting, shedding, debounce) with the state ordering the inline
-        path would have used.  Complete each returned request, in order,
-        before the next ``push_collect``/``reset`` on this detector.
-        Detections that need no model — the fallback path — are still
-        returned directly.
-        """
-        return self._push(accel_g, gyro_dps, t, collect=[])
-
-    def _push(
-        self, accel_g, gyro_dps, t: float | None, collect: list | None,
-    ) -> tuple[Detection | None, list[WindowRequest]]:
-        st = self.stages
-        clk = st.clock if st is not None else None
-        if clk is not None:
-            t0 = clk()
-        accel_g = np.asarray(accel_g, dtype=float).reshape(3)
-        gyro_dps = np.asarray(gyro_dps, dtype=float).reshape(3)
-        n_fill, long_gap, clock_anomaly = self._handle_timestamp(t)
-        accel, gyro, data_anomaly = self._validate(accel_g, gyro_dps)
-        if clk is not None:
-            st.add("ingest", clk() - t0)
-        anomaly = data_anomaly or clock_anomaly
-        detection: Detection | None = None
-        dt_nom = self._dt_nom
-        cur = np.concatenate([accel, gyro])
-        if long_gap:
-            self._reset_stream_state()
-            anomaly = True
-        elif (n_fill and self._prev_fill_anchor is not None
-              and self._last_t is not None):
-            # Bridge the gap: causal interpolation between the last good
-            # sample and the one that just arrived.
-            prev = self._prev_fill_anchor
-            delta = cur - prev
-            for j in range(1, n_fill + 1):
-                frac = j / (n_fill + 1)
-                filler = prev + frac * delta
-                fill_t = self._last_t + j * dt_nom
-                self._sample_index += 1
-                fb = (self._fallback.push(filler[:3])
-                      if self._fallback is not None else False)
-                due = self._ingest(filler[:3], filler[3:])
-                hit = self._decide(due, fb, fill_t, collect)
-                detection = detection or hit
-            self.gap_filled_samples += n_fill
-            self._counter("gap_filled_samples").inc(n_fill)
-            anomaly = True
-        self._sample_index += 1
-        time_s = t if t is not None else self._sample_index / self.config.fs
-        if t is not None:
-            self._last_t = t
-        elif self._last_t is not None:
-            # Assume the nominal rate across an untimestamped sample so a
-            # single missing timestamp cannot null the tracker and disarm
-            # the next sample's gap/clock checks (see _handle_timestamp).
-            self._last_t = self._last_t + dt_nom
-        self._prev_fill_anchor = cur
-        if clk is not None:
-            t1 = clk()
-        fallback_hit = (self._fallback.push(accel)
-                        if self._fallback is not None else False)
-        if clk is not None:
-            st.add("decision", clk() - t1)
-        window_due = self._ingest(accel, gyro)
-        if clk is not None:
-            t2 = clk()
-        self._update_health(anomaly)
-        if clk is not None:
-            st.add("decision", clk() - t2)
-        hit = self._decide(window_due, fallback_hit, time_s, collect)
-        if self.recorder is not None:
-            # Recorded raw values are the *incoming* ones, pre-repair, so
-            # replay re-feeds exactly what the device saw; fill samples
-            # are synthesised deterministically on replay and not stored.
-            self.recorder.record_sample(
-                self._sample_index, t, accel_g, gyro_dps,
-                self._last_raw, anomaly, self._health,
-            )
-        return detection or hit, collect if collect is not None else []
-
-    # ------------------------------------------------------------------
-    # vectorized block-streaming API
-    # ------------------------------------------------------------------
     def push_block(
         self, accel_g, gyro_dps, t=None,
     ) -> tuple[list[Detection], list[WindowRequest]]:
-        """Feed a whole block at once; the vectorized twin of a
-        :meth:`push_collect` loop.
+        """Feed a block of samples — the detector's one ingestion path.
 
         ``accel_g`` / ``gyro_dps`` are ``(n, 3)`` arrays; ``t`` is ``None``
         (fully untimestamped block) or a length-``n`` sequence of
         timestamps where ``None``/NaN marks an untimestamped sample.
+        Every row is validated, gap-bridged and decided as :meth:`push`
+        describes, but due CNN windows are staged rather than inferred so
+        the caller can batch them across streams.
 
-        Semantics are **bit-identical** to::
-
-            for i in range(n):
-                hit, reqs = detector.push_collect(accel[i], gyro[i], t[i])
-
-        with every staged :class:`WindowRequest` completed *after* the
-        loop (deferred to the end of the block): same probabilities, same
-        detections, same health transitions, same anomaly counters —
-        ``tests/test_detector_block.py`` holds this to bit-for-bit
-        equality across every builtin fault scenario and random block
-        splits.  Only the cost changes: repair/clamp/stuck tracking, gap
-        synthesis, SOS filtering (one carried-state
-        :func:`~repro.signal.filters.sosfilt` pass per contiguous
-        segment), channel scaling and window assembly (windows are views
-        into one grown history instead of n ring-buffer rolls) run as
-        numpy ops over the block, and the inherently sequential fusion
-        recurrence runs in one tight scalar pass
-        (:meth:`ComplementaryFilter.update_block
+        Semantics are **bit-identical** to the per-sample reference
+        ``OracleDetector`` (``tests/detector_oracle.py``) fed the same
+        rows one at a time with deferred inference, every staged
+        :class:`WindowRequest` completed *after* the last row: same
+        windows, detections, health transitions and anomaly
+        counters — ``tests/test_detector_block.py`` holds this across
+        every builtin fault scenario and random block splits.
+        Repair/clamp/stuck tracking, gap synthesis, SOS filtering (one
+        carried-state :func:`~repro.signal.filters.sosfilt` pass per
+        contiguous segment), channel scaling and window assembly (windows
+        are views into one grown history) run as numpy ops over the
+        block, and the inherently sequential fusion recurrence runs in
+        one tight scalar pass (:meth:`ComplementaryFilter.update_block
         <repro.signal.orientation.ComplementaryFilter.update_block>`).
 
         Returns ``(detections, requests)``: fallback-path detections (at
-        most one per *incoming* sample, exactly like
-        :meth:`push_collect`) and every staged CNN window, in order.
-        Complete the requests, in order, before the next push on this
-        detector.  Detectors with a flight recorder attached run the
-        per-sample reference loop instead — replay needs the exact
-        per-sample event order.
+        most one per *incoming* sample — the first among its gap fills
+        and itself) and every staged CNN window, in order.  Complete the
+        requests, in order, before the next push on this detector.  An
+        attached flight recorder receives each incoming sample right
+        after that sample's decision.
         """
         accel = np.asarray(accel_g, dtype=float).reshape(-1, 3)
         gyro = np.asarray(gyro_dps, dtype=float).reshape(-1, 3)
@@ -1102,19 +847,16 @@ class FallDetector:
             )
         if n == 0:
             return [], []
-        if self.recorder is not None:
-            return self._push_block_loop(accel, gyro, t_list)
         st = self.stages
         clk = st.clock if st is not None else None
         if clk is not None:
             t0 = clk()
 
         # Phase 1 — repair/clamp/stuck tracking, vectorized over the block.
-        (repaired, data_anom, accel_dead_rows,
-         gyro_dead_rows) = self._validate_block(accel, gyro)
+        exact = np.concatenate((accel, gyro), axis=1)
+        repaired, data_anom, dead_rows = self._validate_block(exact)
         # Phase 2 — timestamp classification (cheap scalar loop: the
-        # carried clock is inherently sequential, and scalar float
-        # arithmetic here is exactly the per-sample arithmetic).
+        # carried clock is inherently sequential).
         (fills, resets, ts_anom, fill_base,
          real_t, n_resets) = self._plan_timestamps_block(t_list, n)
 
@@ -1171,8 +913,7 @@ class FallDetector:
         if n_resets:
             self.stream_resets += n_resets
             self._counter("stream_resets").inc(n_resets)
-        # The next gap interpolates from the last repaired sample, exactly
-        # like the per-sample anchor update.
+        # The next gap interpolates from the last repaired sample.
         self._prev_fill_anchor = repaired[-1].copy()
         if clk is not None:
             t1 = clk()
@@ -1187,20 +928,18 @@ class FallDetector:
 
         # Phase 5 — filter + scale + window assembly, one vectorized pass
         # per reset-delimited segment.  The SOS pass inside the segment
-        # loop is timed separately so filter vs window attribution matches
-        # the per-sample path.
+        # loop is timed separately from window assembly.
         filter_s = 0.0
-        raw9 = np.concatenate([ex6, euler], axis=1)
+        raw9 = np.concatenate((ex6, euler), axis=1)
         window_n = self._window_n
         hop_n = self._hop_n
-        due = np.zeros(m, dtype=bool)
-        ready = np.zeros(m, dtype=bool)
-        windows: dict[int, np.ndarray] = {}
+        ready = [False] * m        # the row's window has filled (warm-up)
+        windows: dict[int, np.ndarray] = {}    # due row -> its window
         for a, b, is_reset in segments:
             if is_reset:
-                # Long gap: the same bookkeeping as _reset_stream_state
-                # (its counter increment was batched above; the fusion
-                # reset was folded into update_block).
+                # Long gap: drop filter and window state and re-prime (the
+                # fusion reset was folded into update_block); the CNN
+                # stays silent until the window refills.
                 self._filter.reset()
                 self._buffer[:] = 0.0
                 self._filled = 0
@@ -1211,26 +950,23 @@ class FallDetector:
             scaled = self._filter.process(raw9[a:b]) / self._scales
             if clk is not None:
                 filter_s += clk() - f0
-            hist = np.concatenate([self._buffer, scaled], axis=0)
+            hist = np.concatenate((self._buffer, scaled))
             filled0 = self._filled
-            # Closed forms of the _ingest cadence counters: the first due
-            # row completes the warm-up (or the pending hop), then one due
-            # every hop_n rows.
+            # Cadence in closed form: the first due row completes the
+            # warm-up (or the pending hop), then one due every hop_n rows.
             if filled0 < window_n:
                 first_due = window_n - filled0 - 1
                 if first_due < seg_len:
-                    ready[a + first_due:b] = True
+                    ready[a + first_due:b] = [True] * (seg_len - first_due)
             else:
                 first_due = hop_n - self._since_last_inference - 1
-                ready[a:b] = True
+                ready[a:b] = [True] * seg_len
             if first_due < seg_len:
-                due_local = np.arange(first_due, seg_len, hop_n)
-                due[a + due_local] = True
-                for r in due_local.tolist():
-                    # After ingesting local row r the ring buffer holds
-                    # exactly these window_n rows; _stage copies the view.
+                due_rows = range(first_due, seg_len, hop_n)
+                for r in due_rows:
+                    # After local row r the window is exactly these rows.
                     windows[a + r] = hist[r + 1:r + 1 + window_n]
-                self._since_last_inference = seg_len - 1 - int(due_local[-1])
+                self._since_last_inference = seg_len - 1 - due_rows[-1]
             elif filled0 >= window_n:
                 self._since_last_inference += seg_len
             self._filled = min(window_n, filled0 + seg_len)
@@ -1239,9 +975,6 @@ class FallDetector:
             t3 = clk()
             st.add("filter", filter_s)
             st.add("window", (t3 - t2) - filter_s)
-            # Phases 6+7 are charged to decision by wall clock minus the
-            # spans _decide attributes to itself during the replay loop.
-            dec0 = st.pending_ms("decision")
 
         # Phase 6 — magnitude fallback: vectorized magnitudes, sequential
         # deque smoother (order-dependent trailing mean).
@@ -1253,31 +986,33 @@ class FallDetector:
         else:
             fb_hits = None
 
-        # Phase 7 — replay the per-sample decision/health sequence.  Rows
-        # with no evidence (not due, no fallback hit) leave _decide's
-        # state untouched, so with clean health they can be skipped.
+        # Phase 7 — the sequential decision/health pass.  Rows with no
+        # evidence (not due, no fallback hit) leave the decision state
+        # untouched, so with clean health and nothing to record they are
+        # skipped.
         base = self._sample_index
         fs = self.config.fs
-        real_anom = [bool(data_anom[i]) or ts_anom[i] for i in range(n)]
-        use_override = bool(accel_dead_rows.any() or gyro_dead_rows.any())
+        if data_anom is None:
+            real_anom = ts_anom
+        else:
+            real_anom = [d or c for d, c in zip(data_anom.tolist(), ts_anom)]
+        recorder = self.recorder
         fast_health = (
             self._health == HEALTHY
             and not any(real_anom)
-            and not use_override
+            and dead_rows is None
             and self.model is not None
             and not self._cnn_shed
         )
         detections: list[Detection] = []
         requests: list[WindowRequest] = []
-        due_l = due.tolist()
-        ready_l = ready.tolist()
-        if fast_health:
+        if fast_health and recorder is None:
             hot = [r for r in range(m)
-                   if due_l[r] or (fb_hits is not None and fb_hits[r])]
+                   if r in windows or (fb_hits is not None and fb_hits[r])]
         else:
             hot = range(m)
-        a_dead_l = accel_dead_rows.tolist() if use_override else None
-        g_dead_l = gyro_dead_rows.tolist() if use_override else None
+        if dead_rows is not None:
+            a_dead_l, g_dead_l = (rows.tolist() for rows in dead_rows)
         last_owner = -1
         group_fired = False
         try:
@@ -1285,87 +1020,100 @@ class FallDetector:
                 own = owner[r] if owner is not None else r
                 real = is_real[r] if is_real is not None else True
                 self._sample_index = base + r + 1
-                if use_override:
+                if dead_rows is not None:
                     self._dead_override = (a_dead_l[own], g_dead_l[own])
                 if real and not fast_health:
                     self._update_health(real_anom[own])
                 fb = fb_hits[r] if fb_hits is not None else False
-                if due_l[r] or fb:
+                window = windows.get(r)
+                if window is not None or fb:
                     if real:
                         tv = real_t[own]
                         time_s = (tv if tv is not None
                                   else (base + r + 1) / fs)
                     else:
                         time_s = fill_time[r]
-                    hit = self._decide(
-                        due_l[r], fb, time_s, requests,
-                        window_ready=ready_l[r], window=windows.get(r),
+                    request = (self._stage(window, fb, time_s)
+                               if window is not None else None)
+                    if request is not None:
+                        requests.append(request)
+                    else:
+                        hit = self._fallback_decide(
+                            fb, time_s, self._sample_index, ready[r])
+                        if hit is not None:
+                            # Only the *first* detection among a sample's
+                            # fills and the sample itself is returned.
+                            if own != last_owner:
+                                last_owner = own
+                                group_fired = False
+                            if not group_fired:
+                                detections.append(hit)
+                                group_fired = True
+                if real and recorder is not None:
+                    # The incoming values, pre-repair, so replay re-feeds
+                    # exactly what the device saw; fill rows are
+                    # synthesised again on replay and not stored.
+                    recorder.record_sample(
+                        self._sample_index, real_t[own], exact[own, :3],
+                        exact[own, 3:], repaired[own], real_anom[own],
+                        self._health,
                     )
-                    if hit is not None:
-                        # push_collect returns the *first* detection among
-                        # a sample's fills + the sample itself.
-                        if own != last_owner:
-                            last_owner = own
-                            group_fired = False
-                        if not group_fired:
-                            detections.append(hit)
-                            group_fired = True
         finally:
             self._dead_override = None
         if fast_health:
             self._clean_streak += n
         self._sample_index = base + m
         if clk is not None:
-            wall_ms = 1000.0 * (clk() - t3)
-            inner_ms = st.pending_ms("decision") - dec0
-            st.add_ms("decision", max(0.0, wall_ms - inner_ms))
+            st.add("decision", clk() - t3)
         return detections, requests
 
-    def _push_block_loop(
-        self, accel: np.ndarray, gyro: np.ndarray, t_list,
-    ) -> tuple[list[Detection], list[WindowRequest]]:
-        """Reference implementation of :meth:`push_block`: the per-sample
-        loop the vectorized path is proven bit-identical to."""
-        detections: list[Detection] = []
-        requests: list[WindowRequest] = []
-        for i in range(accel.shape[0]):
-            ti = t_list[i] if t_list is not None else None
-            if ti is not None and ti != ti:     # NaN marks "no timestamp"
-                ti = None
-            hit, staged = self._push(accel[i], gyro[i], ti, collect=[])
-            if hit is not None:
-                detections.append(hit)
-            requests.extend(staged)
-        return detections, requests
+    def _validate_block(self, exact: np.ndarray):
+        """Repair, clamp and streak-track ``n`` incoming rows ``(n, 6)``
+        (accel then gyro) in vectorized passes.
 
-    def _validate_block(self, accel: np.ndarray, gyro: np.ndarray):
-        """Block twin of :meth:`_validate`: repair, clamp and streak-track
-        ``n`` samples in vectorized passes.
+        Non-finite entries hold the last repaired value of their channel
+        (bootstrap: 1 g gravity for accel, zero rate for gyro);
+        out-of-range entries clip to the sensor rails.  Stuck-at tracking
+        runs on the *exact* incoming values: genuine IMU noise never
+        repeats bit for bit, so an exact-repeat (or non-finite) streak
+        marks a frozen channel, and a sensor whose three channels are all
+        stuck or bad is dead after ``dead_sensor_samples``.
 
-        Returns ``(repaired (n, 6), data_anomaly (n,), accel_dead (n,),
-        gyro_dead (n,))``; the dead flags give each *row's* view of the
-        dead-sensor trackers (the per-sample path consults them between
-        every sample, so the block decisions must too).
+        Returns ``(repaired (n, 6), data_anomaly, dead)``:
+        ``data_anomaly`` is an ``(n,)`` bool array, ``None`` when no row
+        is anomalous; ``dead`` is ``(accel_dead (n,), gyro_dead (n,))`` —
+        each *row's* view of the dead-sensor trackers, which decisions
+        consult between rows — ``None`` when no row sees a dead sensor.
         """
         cfg = self.config
-        n = accel.shape[0]
-        exact = np.concatenate([accel, gyro], axis=1)
-        finite = np.isfinite(exact)
-        bad = ~finite
-        bad_rows = bad.any(axis=1)
-        n_bad = int(bad_rows.sum())
-        repaired = np.where(finite, exact, np.nan)
-        # Saturation check on the post-repair values, like _validate: a
-        # held (previously clipped) value is always in-range, and NaN
-        # placeholders compare False, so pre-fill rows match exactly.
+        n = exact.shape[0]
         rails = self._rails
-        clip_rows = (np.abs(repaired) > rails).any(axis=1)
-        n_clip = int(clip_rows.sum())
-        np.clip(repaired, -rails, rails, out=repaired)
-        if n_bad:
+        finite = np.isfinite(exact)
+        all_finite = _all(finite, None)
+        # The rail check sees post-repair values: a held value was clipped
+        # when it arrived, so only finite entries can be over a rail.
+        over = np.abs(exact) > rails
+        if not all_finite:
+            over &= finite
+        data_anom = None
+        repaired = exact
+        if _any(over, None):
+            data_anom = _any(over, 1)
+            n_clip = int(np.count_nonzero(data_anom))
+            self.saturated_samples += n_clip
+            self._counter("saturated_samples").inc(n_clip)
+            repaired = np.clip(exact, -rails, rails)
+        prev = self._prev_raw_exact
+        prev_rows = np.concatenate(
+            (_NAN_ROW if prev is None else prev[None, :], exact[:-1]))
+        stuck_or_bad = exact == prev_rows
+        if not all_finite:
             # Vectorized hold-last: each non-finite entry takes the most
             # recent finite value in its column, falling back to the
             # carried last-repaired sample (or the gravity bootstrap).
+            bad = ~finite
+            bad_rows = _any(bad, 1)
+            n_bad = int(np.count_nonzero(bad_rows))
             carry = (self._last_raw if self._last_raw is not None
                      else _REPAIR_DEFAULTS)
             src = np.where(finite, np.arange(n)[:, None], -1)
@@ -1374,48 +1122,53 @@ class FallDetector:
             repaired = np.where(src >= 0, held, carry)
             self.repaired_samples += n_bad
             self._counter("repaired_samples").inc(n_bad)
-        if n_clip:
-            self.saturated_samples += n_clip
-            self._counter("saturated_samples").inc(n_clip)
-        # Stuck-at streaks: exact-repeat (or non-finite) runs per channel,
-        # then all-channels-bad runs per sensor — both are running-streak
-        # recurrences with a closed form (_running_streak).
-        prev_exact = self._prev_raw_exact
-        if prev_exact is None:
-            prev_rows = np.concatenate(
-                [np.full((1, 6), np.nan), exact[:-1]], axis=0)
-        else:
-            prev_rows = np.concatenate(
-                [prev_exact[None, :], exact[:-1]], axis=0)
-        same = finite & np.isfinite(prev_rows) & (exact == prev_rows)
-        stuck_or_bad = same | bad
-        if prev_exact is None:
-            # The first sample ever has no predecessor: the per-sample
-            # path skips its streak update (carried streaks are zero).
-            tail = _running_streak(stuck_or_bad[1:],
-                                   self._channel_stuck_streak)
-            streaks = np.concatenate(
-                [self._channel_stuck_streak[None, :], tail], axis=0)
-        else:
+            data_anom = bad_rows if data_anom is None else data_anom | bad_rows
+            stuck_or_bad |= bad
+        if prev is None:
+            # The first sample ever has no predecessor and takes no streak
+            # step (the carried streaks are still zero).
+            stuck_or_bad[0] = False
+        dead = None
+        if (not all_finite or _any(stuck_or_bad, None)
+                or cfg.stuck_channel_samples < 1
+                or cfg.dead_sensor_samples < 1):
+            # Exact-repeat runs per channel, then all-channels-bad runs
+            # per sensor: running-streak recurrences in closed form.
             streaks = _running_streak(stuck_or_bad,
                                       self._channel_stuck_streak)
-        acc_bad = (streaks[:, :3] >= 1).all(axis=1) | bad[:, :3].all(axis=1)
-        gyr_bad = (streaks[:, 3:] >= 1).all(axis=1) | bad[:, 3:].all(axis=1)
-        sensor = _running_streak(np.stack([acc_bad, gyr_bad], axis=1),
-                                 self._sensor_bad_streak)
-        data_anom = (bad_rows | clip_rows
-                     | (streaks >= cfg.stuck_channel_samples).any(axis=1))
-        self._channel_stuck_streak = streaks[-1].copy()
-        self._sensor_bad_streak = sensor[-1].copy()
+            sensor_bad = _all((streaks >= 1).reshape(n, 2, 3), 2)
+            if not all_finite:
+                sensor_bad |= _all(bad.reshape(n, 2, 3), 2)
+            sensor = _running_streak(sensor_bad, self._sensor_bad_streak)
+            stuck_rows = _any(streaks >= cfg.stuck_channel_samples, 1)
+            if _any(stuck_rows, None):
+                data_anom = (stuck_rows if data_anom is None
+                             else data_anom | stuck_rows)
+            dead_rows = sensor >= cfg.dead_sensor_samples
+            if _any(dead_rows, None):
+                dead = (dead_rows[:, 0], dead_rows[:, 1])
+            self._channel_stuck_streak = streaks[-1].copy()
+            self._sensor_bad_streak = sensor[-1].copy()
+        else:
+            # Nothing repeated and nothing bad: every streak is zero (a
+            # threshold below 1 would count even that, hence the guard).
+            self._channel_stuck_streak = np.zeros(6, dtype=int)
+            self._sensor_bad_streak = np.zeros(2, dtype=int)
         self._prev_raw_exact = exact[-1].copy()
         self._last_raw = repaired[-1].copy()
-        dead_n = cfg.dead_sensor_samples
-        return (repaired, data_anom,
-                sensor[:, 0] >= dead_n, sensor[:, 1] >= dead_n)
+        return repaired, data_anom, dead
 
     def _plan_timestamps_block(self, t_list, n: int):
-        """Block twin of :meth:`_handle_timestamp` plus the ``_last_t``
-        bookkeeping: classify every inter-sample interval up front.
+        """Classify every inter-sample interval of a block up front and
+        advance the ``_last_t`` clock past it.
+
+        Relative to the previous timestamp: earlier than half a period is
+        a clock anomaly (the sample is still processed); whole missing
+        periods are a gap, bridged with interpolated fill samples up to
+        ``max_gap_ms`` and a stream reset beyond it.  An untimestamped
+        sample inside a timestamped stream is a clock anomaly that
+        advances the clock by one nominal period, keeping the checks
+        armed for the next sample.
 
         Returns ``(fills, resets, ts_anom, fill_base, real_t, n_resets)``
         — per incoming sample: synthesized-fill count, long-gap reset

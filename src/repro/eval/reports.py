@@ -208,7 +208,7 @@ def render_profile_report(result: dict, title="Profile report") -> str:
     if block is not None:
         blk = block["latency"]
         arms = [latency, blk]
-        headers = ["Quantity", "push (per-sample)", "push_block (vectorized)"]
+        headers = ["Quantity", "push (1-row blocks)", "push_block (vectorized)"]
         detections = [result["stream_detections"], block["detections"]]
         if int8 is not None:
             arms.append(int8["latency"])

@@ -668,11 +668,13 @@ class FleetFront:
                 self.registry.merge_entries(entries)
                 self._final_reports[shard.index] = report
                 self._final_streams.update(stream_report)
-                for record in spans:
-                    try:
-                        collector.adopt(SpanRecord.from_json(record))
-                    except Exception:  # pragma: no cover - defensive
-                        _logger.exception("could not adopt worker span")
+                # One batch per worker, so parent links inside it survive
+                # the id remapping (as repro.parallel adopts child spans).
+                try:
+                    collector.adopt(SpanRecord.from_json(record)
+                                    for record in spans)
+                except Exception:  # pragma: no cover - defensive
+                    _logger.exception("could not adopt worker spans")
                 for entry in entries:
                     if entry.get("type") != "histogram":
                         continue

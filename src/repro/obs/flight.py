@@ -457,16 +457,16 @@ def replay_incident(incident, model="recorded") -> dict:
         if kind == "reset":
             detector.reset()
         elif kind == "sample":
-            _, requests = detector.push_collect(
-                np.array(event["accel"]), np.array(event["gyro"]),
-                t=event["t"],
+            _, requests = detector.push_block(
+                np.array([event["accel"]]), np.array([event["gyro"]]),
+                t=[event["t"]],
             )
             for request in requests:
                 if wi >= len(rec_windows):
-                    # Deferred-path incidents freeze on a sample event;
-                    # windows staged but not yet batch-completed at
-                    # freeze time have no recorded event.  Leave them
-                    # uncompleted, exactly as the live engine had them.
+                    # Incidents freeze on a sample event; windows staged
+                    # but not yet completed at freeze time have no
+                    # recorded event.  Leave them uncompleted, exactly as
+                    # the live detector had them.
                     tail_windows += 1
                     continue
                 rec = rec_windows[wi]
@@ -501,10 +501,11 @@ def _diff_events(recorded, replayed, meta, start, *, live_model,
                  structural_diffs) -> dict:
     """Category-wise diff of two event streams.
 
-    Categories are compared as independent ordered sequences because the
-    inline path records a push's window/decision events *before* its
-    sample event while the deferred path records them after — the
-    within-category order is identical either way.
+    Categories are compared as independent ordered sequences: only the
+    within-category order is part of the contract.  A sample's window
+    events follow its sample event (windows complete after the block
+    that staged them), while incidents recorded by earlier versions'
+    inline per-sample path put them before it.
     """
     examples: list[str] = []
 

@@ -17,8 +17,9 @@ user feels it:
     records the *sum* of the flushed stages — attribution sums to the
     recorded end-to-end latency exactly, by construction.  All histograms
     live off-registry (plain attributes, like ``FallDetector.latency``)
-    so enabling timing cannot perturb the ``push_block ≡ push_collect``
-    bit-identity suite, which compares registry snapshots.
+    so enabling timing cannot perturb the bit-identity suite holding
+    ``push_block`` to its per-sample reference, which compares registry
+    snapshots.
 
 :class:`SLOConfig` / :class:`SLOTracker`
     Counting SLOs over the window stream.  A percentile objective is

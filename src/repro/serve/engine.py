@@ -312,7 +312,7 @@ class ServeEngine:
         """Drain every queue and run the due windows in micro-batches.
 
         Each session's whole queue is ingested as one vectorized
-        ``push_block`` (bit-identical to the per-sample loop with
+        ``push_block`` (bit-identical to a per-sample loop with
         completes deferred to the block boundary), then one batched
         forward runs for all staged windows across streams; rounds repeat
         until every queue is empty.  The queue-depth gauge reports the

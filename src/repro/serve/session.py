@@ -66,7 +66,7 @@ class StreamSession:
             recorder=self.recorder, stage_clock=stage_clock,
         )
         self.queue: deque = deque()
-        #: Requests staged by the last ``push_collect`` and not yet
+        #: Requests staged by the last ``push_block`` and not yet
         #: completed; the engine drains this every inference round.
         self.staged: list = []
         self.dropped_samples = 0
@@ -80,9 +80,8 @@ class StreamSession:
         Returns ``(accel (n, 3), gyro (n, 3), t)`` where ``t`` is ``None``
         when no queued sample carried a timestamp, else a float array with
         NaN marking the untimestamped entries.  Malformed queued samples
-        make the stacking raise — the same outcome the per-sample drain
-        reached via ``push_collect``, and the engine's quarantine
-        containment handles both identically.
+        make the stacking raise, which the engine's quarantine
+        containment handles like any detector error.
         """
         queue = self.queue
         n = len(queue)

@@ -224,8 +224,8 @@ class OnlineSosFilter:
     """Streaming causal filter for the on-device (real-time) pipeline.
 
     The offline pipeline can run zero-phase filtering, but the embedded
-    detector sees samples one at a time; this class keeps per-section state
-    across :meth:`process` calls.  State is initialised at steady state for
+    detector sees samples as they arrive; this class keeps per-section
+    state across :meth:`process` calls.  State is initialised at steady state for
     the first sample to avoid the gravity-offset start-up transient.
     """
 

@@ -60,44 +60,24 @@ class ComplementaryFilter:
     def reset(self) -> None:
         self._angles = None
 
-    def update(self, accel_g: np.ndarray, gyro_dps: np.ndarray) -> np.ndarray:
-        """Fuse one sample; returns ``[pitch, roll, yaw]`` in degrees."""
-        accel_g = np.asarray(accel_g, dtype=float)
-        gyro_dps = np.asarray(gyro_dps, dtype=float)
-        pitch_acc, roll_acc = accel_inclination(accel_g[None, :])
-        pitch_acc, roll_acc = float(pitch_acc[0]), float(roll_acc[0])
-        if self._angles is None:
-            # Bootstrap from the accelerometer; yaw starts at 0.
-            self._angles = np.array([pitch_acc, roll_acc, 0.0])
-            return self._angles.copy()
-        gx, gy, gz = gyro_dps
-        pitch, roll, yaw = self._angles
-        # Integrate body rates (small-angle approximation, as an MCU would).
-        pitch_gyro = pitch + gy * self.dt
-        roll_gyro = roll + gx * self.dt
-        yaw += gz * self.dt
-        pitch = self.alpha * pitch_gyro + (1.0 - self.alpha) * pitch_acc
-        roll = self.alpha * roll_gyro + (1.0 - self.alpha) * roll_acc
-        self._angles = np.array([pitch, roll, yaw])
-        return self._angles.copy()
-
     def update_block(
         self,
         accel_g: np.ndarray,
         gyro_dps: np.ndarray,
         reset_rows=None,
     ) -> np.ndarray:
-        """Fuse a block ``(n, 3)`` carrying streaming state across calls.
+        """Fuse a block ``(n, 3)`` carrying streaming state across calls;
+        returns ``[pitch, roll, yaw]`` per row, in degrees.
 
-        Bit-identical to calling :meth:`update` once per row: the
-        accelerometer inclination is vectorised (elementwise, so each row
-        matches the per-sample call exactly) while the blend recurrence —
-        inherently sequential — runs in one tight scalar pass using the
-        same operation order as :meth:`update`.  ``reset_rows`` lists row
-        indices at which to :meth:`reset` *before* fusing that row (the
-        detector's long-gap stream resets).  Unlike :meth:`process`, the
-        entry state is honoured and the exit state is kept for the next
-        call.
+        The streaming detector's fusion step.  The accelerometer
+        inclination is vectorised (elementwise, so any split into blocks
+        gives the same bits) while the blend recurrence — inherently
+        sequential — runs in one tight scalar pass.  It is bit-identical
+        to the per-sample ``update`` kept as the reference in
+        ``tests/detector_oracle.py``.  ``reset_rows`` lists row indices at
+        which to :meth:`reset` *before* fusing that row (the detector's
+        long-gap stream resets).  Unlike :meth:`process`, the entry state
+        is honoured and the exit state is kept for the next call.
         """
         accel_g = np.asarray(accel_g, dtype=float)
         gyro_dps = np.asarray(gyro_dps, dtype=float)
@@ -142,9 +122,12 @@ class ComplementaryFilter:
     def process(self, accel_g: np.ndarray, gyro_dps: np.ndarray) -> np.ndarray:
         """Fuse whole aligned arrays ``(n, 3)``; returns angles ``(n, 3)``.
 
-        Produces bit-identical results to calling :meth:`update` sample by
-        sample (the recurrence is a first-order IIR, evaluated here with a
-        vectorised filter for dataset-scale speed).  Ignores and resets any
+        The same recurrence as :meth:`update_block`, evaluated as a
+        first-order IIR with a vectorised filter for dataset-scale speed
+        (dataset synthesis and alignment, i.e. the training inputs).  It
+        is *not* bit-identical to the streaming recurrence: ``lfilter``
+        reassociates ``alpha * (angle + rate * dt)``, so pitch and roll
+        differ in the last bits (~1e-14 degrees).  Ignores and resets any
         streaming state.
         """
         from scipy.signal import lfilter

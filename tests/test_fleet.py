@@ -6,10 +6,12 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.detector import DetectorConfig
 from repro.experiments import MagnitudeProbeModel
 from repro.fleet import FleetConfig, FleetFront
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import get_collector
 from repro.serve.engine import ServeConfig, ServeEngine
 
 DET = DetectorConfig()
@@ -59,6 +61,45 @@ def front():
     )
     yield front
     front.close()
+
+
+class _SpanningModel(MagnitudeProbeModel):
+    """Opens a parent span with a child span around every forward."""
+
+    def predict(self, x):
+        with obs.span("test/predict", windows=len(x)):
+            with obs.span("test/predict/inner"):
+                return super().predict(x)
+
+
+class TestTracing:
+    def test_worker_spans_are_adopted_with_parent_links(self):
+        obs.enable_tracing()
+        try:
+            collector = get_collector()
+            collector.clear()
+            front = FleetFront(
+                _SpanningModel(),
+                FleetConfig(n_shards=2, serve=_serve_config(),
+                            worker_timeout_s=5.0),
+                registry=MetricsRegistry(),
+            )
+            try:
+                _feed(front, _streams(n_streams=4, n_samples=120),
+                      front.pump)
+            finally:
+                front.close()
+            records = collector.records()
+            outer = {r.span_id: r for r in records
+                     if r.name == "test/predict"}
+            inner = [r for r in records if r.name == "test/predict/inner"]
+            assert outer and len(inner) == len(outer)
+            assert {r.parent_id for r in inner} == set(outer)
+            span_ids = [r.span_id for r in records]
+            assert len(span_ids) == len(set(span_ids))
+        finally:
+            obs.disable_tracing()
+            get_collector().clear()
 
 
 class TestRouting:
@@ -204,7 +245,7 @@ class TestFailover:
         for i in range(DET.recovery_samples + 2):
             # Plausible idle telemetry: gravity plus noise (exact zeros
             # on the gyro would trip the gyro-dead standing fault).
-            detector.push_collect(
+            detector.push(
                 np.array([0.0, 0.0, 1.0]) + rng.normal(0, 0.01, 3),
                 rng.normal(0, 1.0, 3), t=1.5 + i / DET.fs)
         assert detector.health == "healthy"

@@ -18,6 +18,8 @@ from repro.obs import (
     replay_incident,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.serve import ServeConfig, ServeEngine
+from tests.detector_oracle import OracleDetector
 
 
 class _ContentModel:
@@ -278,21 +280,24 @@ def test_replay_injects_recorded_latency():
 # ----------------------------------------------------------------------
 # property test: every built-in fault scenario replays identically
 # ----------------------------------------------------------------------
+def _scenario_stream(name, n=500):
+    """A quiet stream with a fall-like dip, under builtin scenario ``name``."""
+    scenario = builtin_scenarios(seed=7)[name]
+    accel, gyro, t = _quiet_stream(n, seed=11)
+    accel[200:230, 2] -= 0.85             # a fall-like dip mid-stream
+    accel[230:240, 2] += 3.5
+    gyro[200:230] += 80.0
+    return scenario.apply_arrays(t, accel, gyro)
+
+
 @pytest.mark.parametrize("name", sorted(builtin_scenarios(seed=7)))
 def test_replay_identity_under_every_builtin_scenario(name):
-    scenario = builtin_scenarios(seed=7)[name]
     config = DetectorConfig()
     model = build_lightweight_cnn(config.window_samples)
     rec = FlightRecorder(FlightConfig(capacity=8192,
                                       post_trigger_samples=40))
     det = _detector(model, config, recorder=rec)
-
-    n = 500
-    accel, gyro, t = _quiet_stream(n, seed=11)
-    accel[200:230, 2] -= 0.85             # a fall-like dip mid-stream
-    accel[230:240, 2] += 3.5
-    gyro[200:230] += 80.0
-    t, accel, gyro = scenario.apply_arrays(t, accel, gyro)
+    t, accel, gyro = _scenario_stream(name)
 
     det.reset()
     for i in range(len(t)):
@@ -310,6 +315,55 @@ def test_replay_identity_under_every_builtin_scenario(name):
     # property is not vacuous for scenarios that degrade the stream).
     if name in ("nan_burst", "gyro_dead"):
         assert recorded_transitions
+
+
+# ----------------------------------------------------------------------
+# incidents recorded by the engine's block pushes, and by the per-sample
+# oracle (the inline path incidents were recorded with before push
+# became a one-row push_block), replay identically
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(builtin_scenarios(seed=7)))
+def test_engine_block_incidents_replay_identically(name):
+    config = DetectorConfig()
+    engine = ServeEngine(
+        build_lightweight_cnn(config.window_samples),
+        ServeConfig(detector=config,
+                    flight=FlightConfig(capacity=8192,
+                                        post_trigger_samples=40)),
+        registry=MetricsRegistry(),
+    )
+    t, accel, gyro = _scenario_stream(name)
+    for i in range(len(t)):
+        engine.submit("s", accel[i], gyro[i], float(t[i]))
+        if (i + 1) % 20 == 0:
+            engine.step()
+    engine.step()
+    recorder = engine.session("s").recorder
+    recorder.flush()
+    assert recorder.incidents, f"{name}: no incident captured"
+    for incident in recorder.incidents:
+        result = replay_incident(incident, model="recorded")
+        assert result["identical"], (name, result)
+        assert result["windows"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios(seed=7)))
+def test_oracle_recorded_incident_replays_identically(name):
+    config = DetectorConfig()
+    model = build_lightweight_cnn(config.window_samples)
+    rec = FlightRecorder(FlightConfig(capacity=8192,
+                                      post_trigger_samples=40))
+    det = OracleDetector(model, config, registry=MetricsRegistry(),
+                         metric_prefix="t", recorder=rec)
+    t, accel, gyro = _scenario_stream(name)
+    det.reset()
+    for i in range(len(t)):
+        det.push(accel[i], gyro[i], float(t[i]))
+    rec.flush()
+    assert rec.incidents, f"{name}: no incident captured"
+    for incident in rec.incidents:
+        result = replay_incident(incident, model=model)
+        assert result["identical"], (name, result)
 
 
 def test_directory_incident_cap_prunes_oldest(tmp_path):

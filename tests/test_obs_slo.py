@@ -1,8 +1,9 @@
 """SLO engine: stage attribution, burn-rate alerting, fleet surfacing.
 
 Covers the three layers of ``repro.obs.slo``: the :class:`StageTimer`
-attribution contract (stage sums ≡ end-to-end, both serving paths, and
-instrumentation that cannot perturb the block bit-identity gate), the
+attribution contract (stage sums ≡ end-to-end on ``push_block`` and on
+the per-sample oracle, and instrumentation that cannot perturb the block
+bit-identity gate), the
 :class:`SLOTracker` burn-rate rules riding a real ``AlertManager`` on
 synthetic stream time, and the serving-engine surfacing
 (``slo_report``/``fleet_stages``/liveness counters) plus the
@@ -33,6 +34,7 @@ from repro.obs import (
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeConfig, ServeEngine
 from repro.serve.bench import ServeBenchConfig, synth_stream
+from tests.detector_oracle import OracleDetector
 
 CFG = DetectorConfig(window_ms=200.0, overlap=0.5, threshold=0.4,
                      consecutive_required=1)
@@ -92,8 +94,9 @@ def test_stage_timer_flush_observes_stage_sum_into_e2e():
 
 def _drive_detector(use_block, accel, gyro, t):
     model = MagnitudeProbeModel()
-    detector = FallDetector(model, CFG, registry=MetricsRegistry(),
-                            stage_clock=_TickClock())
+    cls = FallDetector if use_block else OracleDetector
+    detector = cls(model, CFG, registry=MetricsRegistry(),
+                   stage_clock=_TickClock())
     hop = CFG.hop_samples
     for start in range(0, len(accel), hop):
         sl = slice(start, start + hop)
@@ -116,7 +119,8 @@ def _drive_detector(use_block, accel, gyro, t):
 def test_stage_timings_nonnegative_and_sum_to_e2e(use_block):
     """The property pair: every stage cost is finite and non-negative,
     and the flushed stage totals sum to the end-to-end total exactly
-    (modulo float addition order) — on both serving paths."""
+    (modulo float addition order) — on ``push_block`` and on the
+    per-sample oracle."""
     accel, gyro, t = _stream()
     detector = _drive_detector(use_block, accel, gyro, t)
     timer = detector.stages
@@ -162,7 +166,8 @@ def test_stage_attribution_shares():
 def _run_identity_arm(cfg, use_block, accel, gyro, t):
     registry = MetricsRegistry()
     model = MagnitudeProbeModel()
-    detector = FallDetector(model, cfg, registry=registry)
+    cls = FallDetector if use_block else OracleDetector
+    detector = cls(model, cfg, registry=registry)
     trace = []
     hop = cfg.hop_samples
     for start in range(0, len(accel), hop):
@@ -192,7 +197,8 @@ def _run_identity_arm(cfg, use_block, accel, gyro, t):
 def test_stage_timing_leaves_block_identity_untouched():
     """The regression the off-registry design buys: enabling stage
     timing changes neither the observable trace nor the registry
-    snapshot, on either path — so the bit-identity gate stays green."""
+    snapshot, on ``push_block`` or the oracle — so the bit-identity gate
+    stays green."""
     accel, gyro, t = _stream(duration_s=2.0)
     results = {}
     for timing in (False, True):

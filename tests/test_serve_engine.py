@@ -137,9 +137,6 @@ def test_quarantine_contains_raising_detector():
         def health_report(self):
             return {"cnn_shed": False}
 
-        def push_collect(self, *a, **k):
-            raise RuntimeError("detector bug")
-
         def push_block(self, *a, **k):
             raise RuntimeError("detector bug")
 
