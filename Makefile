@@ -7,7 +7,7 @@ export PYTHONPATH := src
 
 .PHONY: test lint check http-smoke bench profile faults serve-bench \
 	parallel-bench tail-demo alerts-demo fleet-demo fleet-bench slo-demo \
-	quant-demo quant-bench perfbench perfbench-test
+	quant-demo quant-bench perfbench perfbench-test perfbench-ab
 
 # tests/test_detector_block.py (the bit-identity gate holding push_block
 # and push to the per-sample oracle in tests/detector_oracle.py) rides
@@ -107,3 +107,12 @@ perfbench:
 # The benchmark's own tests (metric names, pins, span accounting).
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/tests -q
+
+# Base-vs-working-tree A/B of the serve benchmark: PAIRS alternating
+# pairs per workload, each side from its own export, with per-metric
+# medians, the base's spread and each delta against its BENCHMARK.json
+# bound (see scripts/perfbench_ab.py).  BASE defaults to HEAD with
+# uncommitted changes, else HEAD~1.  ~1 min per pair per workload.
+PAIRS ?= 10
+perfbench-ab:
+	$(PYTHON) scripts/perfbench_ab.py --pairs $(PAIRS) $(if $(BASE),--base $(BASE))

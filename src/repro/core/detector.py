@@ -48,6 +48,7 @@ import math
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "DetectorConfig",
     "Detection",
     "WindowRequest",
+    "IngestedBlock",
     "FallDetector",
     "MagnitudeFallback",
     "AirbagController",
@@ -299,6 +301,35 @@ class MagnitudeFallback:
                 self._watch_left = 0       # re-arm via the next dip
                 return True
         return False
+
+
+class IngestedBlock(NamedTuple):
+    """One :meth:`FallDetector.push_block` between its halves: what
+    :meth:`~FallDetector.begin_block` (phases 1-4) leaves for
+    :meth:`~FallDetector.finish_block` (phases 5-7).
+
+    ``jobs`` are the block's filter jobs, ``(carried state or None to
+    prime, raw (rows, 9))`` per reset-delimited segment, for
+    ``filter.run`` (the detector's :class:`OnlineSosFilter`); ``m`` is
+    the block's row count including synthesized gap fills.  The rest is
+    private to the detector.
+    """
+
+    filter: OnlineSosFilter
+    n: int
+    m: int
+    segments: list
+    jobs: list
+    ex6: np.ndarray
+    exact: np.ndarray
+    repaired: np.ndarray
+    data_anom: np.ndarray | None
+    dead_rows: tuple | None
+    ts_anom: list
+    real_t: list
+    owner: np.ndarray | None
+    is_real: np.ndarray | None
+    fill_time: np.ndarray | None
 
 
 class FallDetector:
@@ -811,13 +842,22 @@ class FallDetector:
         windows, detections, health transitions and anomaly
         counters — ``tests/test_detector_block.py`` holds this across
         every builtin fault scenario and random block splits.
-        Repair/clamp/stuck tracking, gap synthesis, SOS filtering (one
-        carried-state :func:`~repro.signal.filters.sosfilt` pass per
-        contiguous segment), channel scaling and window assembly (windows
-        are views into one grown history) run as numpy ops over the
-        block, and the inherently sequential fusion recurrence runs in
-        one tight scalar pass (:meth:`ComplementaryFilter.update_block
+        Repair/clamp/stuck tracking, gap synthesis, channel scaling and
+        window assembly (windows are views into one grown history) run as
+        numpy ops over the block, and the inherently sequential fusion
+        recurrence runs in one tight scalar pass
+        (:meth:`ComplementaryFilter.update_block
         <repro.signal.orientation.ComplementaryFilter.update_block>`).
+
+        The block runs in two halves around its SOS filter pass:
+        :meth:`begin_block` (repair, timestamps, gap fill, fusion) yields
+        one filter job per reset-delimited segment, this method filters
+        them in one :meth:`OnlineSosFilter.run
+        <repro.signal.filters.OnlineSosFilter.run>` call, and
+        :meth:`finish_block` (scale, windows, decisions) consumes the
+        result.  The serving engine runs the same halves with one
+        stacked filter call for every stream in a round; the kernel is
+        elementwise per column, so that is bit-identical to this.
 
         Returns ``(detections, requests)``: fallback-path detections (at
         most one per *incoming* sample — the first among its gap fills
@@ -825,6 +865,28 @@ class FallDetector:
         requests, in order, before the next push on this detector.  An
         attached flight recorder receives each incoming sample right
         after that sample's decision.
+        """
+        block = self.begin_block(accel_g, gyro_dps, t)
+        if block is None:
+            return [], []
+        st = self.stages
+        if st is None:
+            return self.finish_block(block, self._filter.run(block.jobs))
+        f0 = st.clock()
+        filtered = self._filter.run(block.jobs)
+        return self.finish_block(block, filtered, st.clock() - f0)
+
+    def begin_block(self, accel_g, gyro_dps, t=None) -> IngestedBlock | None:
+        """First half of :meth:`push_block`: phases 1-4 (repair,
+        timestamps, gap fill, fusion) for the block.
+
+        Returns ``None`` for an empty block, else an
+        :class:`IngestedBlock` whose ``jobs`` — ``(carried filter state,
+        or None to prime, raw rows)`` per reset-delimited segment — the
+        caller filters with ``block.filter.run`` (alone, or stacked with
+        the jobs of other detectors of the same config) and passes, with
+        the block, to :meth:`finish_block` before anything else touches
+        this detector.
         """
         accel = np.asarray(accel_g, dtype=float).reshape(-1, 3)
         gyro = np.asarray(gyro_dps, dtype=float).reshape(-1, 3)
@@ -846,7 +908,7 @@ class FallDetector:
                 f"for {n}"
             )
         if n == 0:
-            return [], []
+            return None
         st = self.stages
         clk = st.clock if st is not None else None
         if clk is not None:
@@ -922,34 +984,55 @@ class FallDetector:
         # Phase 4 — orientation fusion (sequential recurrence, one pass).
         euler = self._fusion.update_block(
             ex6[:, :3], ex6[:, 3:], reset_rows=reset_rows or None)
+        # One filter job per segment: the first continues the carried
+        # state; a long-gap reset drops it and re-primes from the
+        # segment's first row.
+        raw9 = np.concatenate((ex6, euler), axis=1)
+        state = self._filter.state
+        jobs = [(None if is_reset else state, raw9[a:b])
+                for a, b, is_reset in segments]
+        if clk is not None:
+            st.add("fusion", clk() - t1)
+        return IngestedBlock(
+            self._filter, n, m, segments, jobs, ex6, exact, repaired,
+            data_anom, dead_rows, ts_anom, real_t, owner, is_real, fill_time)
+
+    def finish_block(
+        self, block: IngestedBlock, filtered, filter_s: float = 0.0,
+    ) -> tuple[list[Detection], list[WindowRequest]]:
+        """Second half of :meth:`push_block`: phases 5-7 (scale, window
+        assembly, fallback and decisions) for a :meth:`begin_block`
+        result.
+
+        ``filtered`` holds the ``(y, zf)`` output of ``block.filter.run``
+        for each of ``block.jobs``, in order; ``filter_s`` is the wall
+        time (seconds) charged to this block's ``filter`` stage — its
+        share of a stacked call.  Returns what :meth:`push_block` returns.
+        """
+        st = self.stages
+        clk = st.clock if st is not None else None
         if clk is not None:
             t2 = clk()
-            st.add("fusion", t2 - t1)
+            st.add("filter", filter_s)
+        m = block.m
+        ex6 = block.ex6
 
-        # Phase 5 — filter + scale + window assembly, one vectorized pass
-        # per reset-delimited segment.  The SOS pass inside the segment
-        # loop is timed separately from window assembly.
-        filter_s = 0.0
-        raw9 = np.concatenate((ex6, euler), axis=1)
+        # Phase 5 — scale + window assembly, one vectorized pass per
+        # reset-delimited segment.
         window_n = self._window_n
         hop_n = self._hop_n
         ready = [False] * m        # the row's window has filled (warm-up)
         windows: dict[int, np.ndarray] = {}    # due row -> its window
-        for a, b, is_reset in segments:
+        for (a, b, is_reset), (y, _) in zip(block.segments, filtered):
             if is_reset:
-                # Long gap: drop filter and window state and re-prime (the
-                # fusion reset was folded into update_block); the CNN
-                # stays silent until the window refills.
-                self._filter.reset()
+                # Long gap: drop the window state (the fusion reset was
+                # folded into update_block and the filter job re-primed);
+                # the CNN stays silent until the window refills.
                 self._buffer[:] = 0.0
                 self._filled = 0
                 self._since_last_inference = 0
             seg_len = b - a
-            if clk is not None:
-                f0 = clk()
-            scaled = self._filter.process(raw9[a:b]) / self._scales
-            if clk is not None:
-                filter_s += clk() - f0
+            scaled = y / self._scales
             hist = np.concatenate((self._buffer, scaled))
             filled0 = self._filled
             # Cadence in closed form: the first due row completes the
@@ -971,10 +1054,10 @@ class FallDetector:
                 self._since_last_inference += seg_len
             self._filled = min(window_n, filled0 + seg_len)
             self._buffer = hist[seg_len:].copy()
+        self._filter.state = filtered[-1][1]
         if clk is not None:
             t3 = clk()
-            st.add("filter", filter_s)
-            st.add("window", (t3 - t2) - filter_s)
+            st.add("window", t3 - t2)
 
         # Phase 6 — magnitude fallback: vectorized magnitudes, sequential
         # deque smoother (order-dependent trailing mean).
@@ -990,12 +1073,18 @@ class FallDetector:
         # evidence (not due, no fallback hit) leave the decision state
         # untouched, so with clean health and nothing to record they are
         # skipped.
+        owner = block.owner
+        is_real = block.is_real
+        real_t = block.real_t
+        dead_rows = block.dead_rows
+        data_anom = block.data_anom
         base = self._sample_index
         fs = self.config.fs
         if data_anom is None:
-            real_anom = ts_anom
+            real_anom = block.ts_anom
         else:
-            real_anom = [d or c for d, c in zip(data_anom.tolist(), ts_anom)]
+            real_anom = [d or c for d, c in
+                         zip(data_anom.tolist(), block.ts_anom)]
         recorder = self.recorder
         fast_health = (
             self._health == HEALTHY
@@ -1032,7 +1121,7 @@ class FallDetector:
                         time_s = (tv if tv is not None
                                   else (base + r + 1) / fs)
                     else:
-                        time_s = fill_time[r]
+                        time_s = block.fill_time[r]
                     request = (self._stage(window, fb, time_s)
                                if window is not None else None)
                     if request is not None:
@@ -1054,14 +1143,14 @@ class FallDetector:
                     # exactly what the device saw; fill rows are
                     # synthesised again on replay and not stored.
                     recorder.record_sample(
-                        self._sample_index, real_t[own], exact[own, :3],
-                        exact[own, 3:], repaired[own], real_anom[own],
-                        self._health,
+                        self._sample_index, real_t[own],
+                        block.exact[own, :3], block.exact[own, 3:],
+                        block.repaired[own], real_anom[own], self._health,
                     )
         finally:
             self._dead_override = None
         if fast_health:
-            self._clean_streak += n
+            self._clean_streak += block.n
         self._sample_index = base + m
         if clk is not None:
             st.add("decision", clk() - t3)

@@ -4,7 +4,8 @@ The single-stream :class:`~repro.core.detector.FallDetector` costs one
 batch-of-1 ``Model.predict`` per due window — N concurrent wearables cost
 N full forwards.  :class:`ServeEngine` amortises that: it accepts
 interleaved ``(stream_id, accel, gyro, t)`` samples into bounded
-per-stream queues, advances every session's filter/ring-buffer state, and
+per-stream queues, advances every session's filter/ring-buffer state —
+one stacked SOS filter pass for all sessions per round — and
 collects *all* windows that come due across sessions into **one** batched
 ``Model.predict`` call per inference round.
 
@@ -311,14 +312,16 @@ class ServeEngine:
     def step(self) -> list[tuple[str, Detection]]:
         """Drain every queue and run the due windows in micro-batches.
 
-        Each session's whole queue is ingested as one vectorized
-        ``push_block`` (bit-identical to a per-sample loop with
-        completes deferred to the block boundary), then one batched
-        forward runs for all staged windows across streams; rounds repeat
-        until every queue is empty.  The queue-depth gauge reports the
-        deepest any stream's queue got since the previous step (burst
-        peaks included), then settles to the post-drain depth so tail
-        readers see steady-state 0 between bursts.  Returns
+        Each session's whole queue is ingested as one vectorized block —
+        ``push_block``'s two halves with one SOS filter pass stacked
+        across every session in between (bit-identical to a per-sample
+        loop with completes deferred to the block boundary) — then one
+        batched forward runs for all staged windows across streams;
+        rounds repeat until every queue is empty.  The queue-depth
+        gauge reports the deepest any stream's queue got since the
+        previous step (burst peaks included), then settles to the
+        post-drain depth so tail readers see steady-state 0 between
+        bursts.  Returns
         ``(stream_id, detection)`` pairs in processing order.
         """
         detections: list[tuple[str, Detection]] = []
@@ -350,9 +353,11 @@ class ServeEngine:
         return detections
 
     def _advance_round(self, detections) -> list[StreamSession]:
-        """Drain each session's queue as one vectorized block; returns
-        the sessions that staged windows this round."""
-        staged_sessions = []
+        """Drain each session's queue as one block and run it through
+        the detector's two halves, with one stacked filter pass for
+        every session in between; returns the sessions that staged
+        windows this round."""
+        begun = []
         for session in self._sessions.values():
             if session.quarantined:
                 session.queue.clear()
@@ -361,7 +366,20 @@ class ServeEngine:
                 continue
             try:
                 accel, gyro, t = session.drain_block()
-                hits, requests = session.detector.push_block(accel, gyro, t)
+                block = session.detector.begin_block(accel, gyro, t)
+            except Exception:
+                self._quarantine(session)
+                continue
+            if block is not None:
+                begun.append((session, block))
+        staged_sessions = []
+        for (session, block), result in zip(begun,
+                                            self._filter_stacked(begun)):
+            if result is None:
+                continue
+            try:
+                hits, requests = session.detector.finish_block(
+                    block, *result)
             except Exception:
                 self._quarantine(session)
                 continue
@@ -373,6 +391,50 @@ class ServeEngine:
                 session.staged = requests
                 staged_sessions.append(session)
         return staged_sessions
+
+    def _filter_stacked(self, begun) -> list:
+        """Every begun block's filter jobs in one ``OnlineSosFilter.run``
+        call.
+
+        Every session's detector is built from ``config.detector``, so
+        they share filter coefficients and the first block's filter can
+        run them all.  Returns per ``(session, block)`` its ``(y, zf)``
+        outputs and its row-proportional share, in seconds, of the
+        call's wall time — the block's ``filter`` stage cost.  Should
+        the stacked call raise, the blocks are retried one by one and a
+        session whose block still raises is quarantined (``None``).
+        """
+        if not begun:
+            return []
+        blocks = [block for _, block in begun]
+        jobs = [job for block in blocks for job in block.jobs]
+        clock = self._stage_clock or time.perf_counter
+        t0 = clock()
+        try:
+            filtered = blocks[0].filter.run(jobs)
+        except Exception:
+            _logger.exception("stacked filter pass raised for %d blocks; "
+                              "retrying per block", len(blocks))
+            return [self._filter_solo(session, block, clock)
+                    for session, block in begun]
+        per_row_s = (clock() - t0) / sum(block.m for block in blocks)
+        out = []
+        pos = 0
+        for block in blocks:
+            k = len(block.jobs)
+            out.append((filtered[pos:pos + k], per_row_s * block.m))
+            pos += k
+        return out
+
+    def _filter_solo(self, session, block, clock):
+        """One block's jobs alone: ``(outputs, seconds)``, or ``None``
+        with the session quarantined when that raises too."""
+        t0 = clock()
+        try:
+            return block.filter.run(block.jobs), clock() - t0
+        except Exception:
+            self._quarantine(session)
+            return None
 
     def _infer_batch(self, staged_sessions, detections) -> None:
         """One batched forward for every staged window, then fan-out."""

@@ -66,8 +66,8 @@ class StreamSession:
             recorder=self.recorder, stage_clock=stage_clock,
         )
         self.queue: deque = deque()
-        #: Requests staged by the last ``push_block`` and not yet
-        #: completed; the engine drains this every inference round.
+        #: Requests staged by the last block (``finish_block``) and not
+        #: yet completed; the engine drains this every inference round.
         self.staged: list = []
         self.dropped_samples = 0
         self.detections = 0
@@ -75,7 +75,8 @@ class StreamSession:
         self.quarantined = False
 
     def drain_block(self):
-        """Pop every queued sample, stacked for ``FallDetector.push_block``.
+        """Pop every queued sample, stacked as one detector block
+        (``FallDetector.push_block`` / ``begin_block``).
 
         Returns ``(accel (n, 3), gyro (n, 3), t)`` where ``t`` is ``None``
         when no queued sample carried a timestamp, else a float array with

@@ -7,6 +7,16 @@ transform, second-order-section factorisation — plus a zero-phase
 forward-backward filter (``sosfiltfilt``).  The test-suite validates every
 piece against ``scipy.signal``.
 
+Every SOS pass — offline, one stream, or a whole serving fleet — runs
+one hand-written direct-form-II-transposed loop.
+:meth:`OnlineSosFilter.run` stacks independent streams as the columns of
+one array so the loop runs once for all of them, bit-identical to
+filtering each alone; :meth:`OnlineSosFilter.process` is its one-job
+case.  The serve path keeps this loop rather than
+``scipy.signal.sosfilt``: importing ``scipy.signal`` costs ~75 MB of
+resident memory per process and its wrapper more per call than a
+one-row block's whole filter pass.
+
 All public filter functions operate on arrays shaped ``(samples,)`` or
 ``(samples, channels)`` and filter along axis 0.
 """
@@ -14,6 +24,10 @@ All public filter functions operate on arrays shaped ``(samples,)`` or
 from __future__ import annotations
 
 import numpy as np
+
+#: ``all`` as a bare ufunc reduction: ``ndarray.all`` adds a Python-level
+#: wrapper per call, which shows on one-row streaming blocks.
+_all = np.logical_and.reduce
 
 __all__ = [
     "butter_lowpass_sos",
@@ -90,6 +104,47 @@ def butter_lowpass_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
     return sos
 
 
+def _df2t(coeffs, x: np.ndarray, zi: np.ndarray):
+    """The one SOS kernel: causal direct-form-II-transposed filtering of
+    ``x`` ``(samples, width)`` along axis 0 from state ``zi``
+    ``(n_sections, 2, width)``; returns new ``(y, zf)`` arrays.
+
+    One fused pass over time, cascading the sections per sample, instead
+    of one full pass per section.  The per-(section, sample) arithmetic
+    and its order are unchanged — DF2T state for section s at sample n
+    depends only on section s-1's outputs up to n — so results are
+    bit-identical to the section-major loop while skipping the
+    per-section intermediate arrays (this runs on every streaming
+    sample, so constant factors matter).  Every operation is elementwise
+    across the width, so a column's result does not depend on what else
+    shares the array.  ``zi`` is only read.
+    """
+    n_sections = len(coeffs)
+    z1s = [zi[s, 0] for s in range(n_sections)]
+    z2s = [zi[s, 1] for s in range(n_sections)]
+    y = np.empty_like(x)
+    for n in range(x.shape[0]):
+        v = x[n]
+        for s, (b0, b1, b2, a1, a2) in enumerate(coeffs):
+            z1 = z1s[s]
+            yn = b0 * v + z1
+            z1s[s] = b1 * v - a1 * yn + z2s[s]
+            z2s[s] = b2 * v - a2 * yn
+            v = yn
+        y[n] = v
+    zf = np.empty_like(zi)
+    for s in range(n_sections):
+        zf[s, 0] = z1s[s]
+        zf[s, 1] = z2s[s]
+    return y, zf
+
+
+def _coefficients(sos: np.ndarray) -> list[tuple]:
+    """``(b0, b1, b2, a1, a2)`` per section as Python floats."""
+    return [(b0, b1, b2, a1, a2)
+            for b0, b1, b2, _, a1, a2 in sos.tolist()]
+
+
 def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None):
     """Causal direct-form-II-transposed filtering along axis 0.
 
@@ -107,40 +162,65 @@ def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None):
     if zi is None:
         state = np.zeros((n_sections, 2, channels))
     else:
-        state = np.array(zi, dtype=float, copy=True)
+        state = np.asarray(zi, dtype=float)
         if state.shape != (n_sections, 2, channels):
             raise ValueError(
                 f"zi must have shape {(n_sections, 2, channels)}, got {state.shape}"
             )
-    # One fused pass over time, cascading the sections per sample, instead
-    # of one full pass per section.  The per-(section, sample) arithmetic
-    # and its order are unchanged — DF2T state for section s at sample n
-    # depends only on section s-1's outputs up to n — so results are
-    # bit-identical to the section-major loop while skipping the
-    # per-section intermediate arrays (this runs on every streaming
-    # sample, so constant factors matter).
-    coeffs = [
-        (sos[s, 0], sos[s, 1], sos[s, 2], sos[s, 4], sos[s, 5])
-        for s in range(n_sections)
-    ]
-    z1s = [state[s, 0].copy() for s in range(n_sections)]
-    z2s = [state[s, 1].copy() for s in range(n_sections)]
-    y = np.empty_like(x)
-    for n in range(x.shape[0]):
-        v = x[n]
-        for s, (b0, b1, b2, a1, a2) in enumerate(coeffs):
-            z1 = z1s[s]
-            yn = b0 * v + z1
-            z1s[s] = b1 * v - a1 * yn + z2s[s]
-            z2s[s] = b2 * v - a2 * yn
-            v = yn
-        y[n] = v
-    for s in range(n_sections):
-        state[s, 0] = z1s[s]
-        state[s, 1] = z2s[s]
+    y, zf = _df2t(_coefficients(sos), x, state)
     if squeeze:
-        return y[:, 0], state
-    return y, state
+        return y[:, 0], zf
+    return y, zf
+
+
+def _run_jobs(coeffs, prime: np.ndarray, jobs) -> list:
+    """Filter many independent blocks with one DF2T pass per block length.
+
+    ``jobs`` is a sequence of ``(zi, x)`` pairs — typically one per
+    stream segment: ``x`` is a float ``(n, channels)`` block with
+    ``n >= 1`` (every job has the same channel count) and ``zi`` its
+    carried ``(n_sections, 2, channels)`` state, or ``None`` to start at
+    steady state for ``x[0]`` (``prime``, the ``(n_sections, 2, 1)``
+    unit-step state, scaled by the first row).  A carried state holding
+    a non-finite value is re-primed the same way: non-finite input
+    poisons IIR state forever, so the stream self-heals at its next
+    block.
+
+    Jobs of equal length are stacked as the columns of one
+    ``(n, jobs·channels)`` array and run through the loop once.  The
+    loop is elementwise per column — each column sees the same IEEE
+    operations in the same order whatever the array width — so every
+    job's ``(y, zf)`` is bit-identical to :func:`sosfilt` on that job
+    alone.  Returns the ``(y, zf)`` pairs in job order; with several
+    jobs they are views into the stacked arrays.
+    """
+    if len(jobs) == 1:
+        # The solo path pays for no batching: no grouping, no copies.
+        zi, x = jobs[0]
+        if zi is None or not _all(np.isfinite(zi), None):
+            zi = prime * x[0]
+        return [_df2t(coeffs, x, zi)]
+    by_length: dict[int, list[int]] = {}
+    for j, (_, x) in enumerate(jobs):
+        by_length.setdefault(x.shape[0], []).append(j)
+    out: list = [None] * len(jobs)
+    for group in by_length.values():
+        channels = jobs[group[0]][1].shape[1]
+        x = np.concatenate([jobs[j][1] for j in group], axis=1)
+        zi = np.concatenate(
+            [prime * jobs[j][1][0] if jobs[j][0] is None else jobs[j][0]
+             for j in group], axis=2)
+        finite = np.isfinite(zi)
+        if not _all(finite, None):
+            healthy = finite.reshape(-1, len(group), channels).all(axis=(0, 2))
+            for k in np.flatnonzero(~healthy):
+                cols = slice(k * channels, (k + 1) * channels)
+                zi[:, :, cols] = prime * x[0, cols]
+        y, zf = _df2t(coeffs, x, zi)
+        for k, j in enumerate(group):
+            cols = slice(k * channels, (k + 1) * channels)
+            out[j] = (y[:, cols], zf[:, :, cols])
+    return out
 
 
 def sosfilt_zi(sos: np.ndarray) -> np.ndarray:
@@ -227,18 +307,33 @@ class OnlineSosFilter:
     detector sees samples as they arrive; this class keeps per-section
     state across :meth:`process` calls.  State is initialised at steady state for
     the first sample to avoid the gravity-offset start-up transient.
+    :meth:`process` is the one-job case of :meth:`run`, which filters
+    caller-held ``(state, samples)`` jobs — several streams' blocks in
+    one stacked pass — without touching this filter's own state.
     """
 
     def __init__(self, sos: np.ndarray, channels: int):
         self.sos = np.asarray(sos, dtype=float)
         self.channels = int(channels)
         self._zi_template = sosfilt_zi(self.sos)[:, :, None]
+        self._coeffs = _coefficients(self.sos)
         self._state: np.ndarray | None = None
 
     @property
     def primed(self) -> bool:
         """True once the filter holds state from a first sample."""
         return self._state is not None
+
+    @property
+    def state(self) -> np.ndarray | None:
+        """Carried ``(n_sections, 2, channels)`` state, ``None`` until
+        primed; assign a job's final state from :meth:`run` to continue
+        the stream from it."""
+        return self._state
+
+    @state.setter
+    def state(self, value: np.ndarray | None) -> None:
+        self._state = value
 
     def reset(self) -> None:
         """Forget all state; the next sample re-initialises it."""
@@ -254,6 +349,17 @@ class OnlineSosFilter:
         sample = np.asarray(sample, dtype=float).reshape(self.channels)
         self._state = self._zi_template * sample
 
+    def run(self, jobs) -> list:
+        """Filter ``(state or None, samples)`` jobs — several streams'
+        blocks — in one stacked pass with this filter's coefficients;
+        returns one ``(y, zf)`` per job.
+
+        A ``None`` or non-finite state starts at steady state for the
+        job's first row.  Every job's result is bit-identical to
+        :func:`sosfilt` on that job alone (see :func:`_run_jobs`).
+        """
+        return _run_jobs(self._coeffs, self._zi_template, jobs)
+
     def process(self, samples: np.ndarray) -> np.ndarray:
         """Filter a block of samples ``(n, channels)`` (or a single ``(channels,)``)."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -261,11 +367,5 @@ class OnlineSosFilter:
             raise ValueError(
                 f"expected {self.channels} channels, got {samples.shape[1]}"
             )
-        if self._state is not None and not np.isfinite(self._state).all():
-            # A non-finite input poisons IIR state forever; self-heal by
-            # re-priming from the first sample of this block.
-            self._state = None
-        if self._state is None:
-            self._state = self._zi_template * samples[0]
-        y, self._state = sosfilt(self.sos, samples, self._state)
+        ((y, self._state),) = self.run([(self._state, samples)])
         return y

@@ -1,9 +1,9 @@
 """SLO engine: stage attribution, burn-rate alerting, fleet surfacing.
 
 Covers the three layers of ``repro.obs.slo``: the :class:`StageTimer`
-attribution contract (stage sums ≡ end-to-end on ``push_block`` and on
-the per-sample oracle, and instrumentation that cannot perturb the block
-bit-identity gate), the
+attribution contract (stage sums ≡ end-to-end on ``push_block``, on
+the per-sample oracle and on the engine path, and instrumentation that
+cannot perturb the block bit-identity gate), the
 :class:`SLOTracker` burn-rate rules riding a real ``AlertManager`` on
 synthetic stream time, and the serving-engine surfacing
 (``slo_report``/``fleet_stages``/liveness counters) plus the
@@ -92,15 +92,27 @@ def test_stage_timer_flush_observes_stage_sum_into_e2e():
     assert timer.totals_ms["filter"] == 0.0
 
 
-def _drive_detector(use_block, accel, gyro, t):
+def _drive_detector(arm, accel, gyro, t):
+    """Feed one stream hop by hop through ``push_block`` (``True``), the
+    per-sample oracle (``False``) or a serving engine (``"engine"``),
+    charging every window 0.5 ms of inference."""
     model = MagnitudeProbeModel()
-    cls = FallDetector if use_block else OracleDetector
+    hop = CFG.hop_samples
+    if arm == "engine":
+        engine = ServeEngine(
+            model, ServeConfig(detector=CFG), registry=MetricsRegistry(),
+            stage_clock=_TickClock(), latency_clock=_TickClock(0.0005))
+        for start in range(0, len(accel), hop):
+            for i in range(start, min(start + hop, len(accel))):
+                engine.submit("s", accel[i], gyro[i], float(t[i]))
+            engine.step()
+        return engine.session("s").detector
+    cls = FallDetector if arm else OracleDetector
     detector = cls(model, CFG, registry=MetricsRegistry(),
                    stage_clock=_TickClock())
-    hop = CFG.hop_samples
     for start in range(0, len(accel), hop):
         sl = slice(start, start + hop)
-        if use_block:
+        if arm:
             _, requests = detector.push_block(accel[sl], gyro[sl], t[sl])
         else:
             requests = []
@@ -115,14 +127,15 @@ def _drive_detector(use_block, accel, gyro, t):
     return detector
 
 
-@pytest.mark.parametrize("use_block", [False, True])
-def test_stage_timings_nonnegative_and_sum_to_e2e(use_block):
+@pytest.mark.parametrize("arm", [False, True, "engine"])
+def test_stage_timings_nonnegative_and_sum_to_e2e(arm):
     """The property pair: every stage cost is finite and non-negative,
     and the flushed stage totals sum to the end-to-end total exactly
-    (modulo float addition order) — on ``push_block`` and on the
-    per-sample oracle."""
+    (modulo float addition order) — on ``push_block``, on the
+    per-sample oracle, and on the engine path, where each detector is
+    charged its row share of the round's stacked filter pass."""
     accel, gyro, t = _stream()
-    detector = _drive_detector(use_block, accel, gyro, t)
+    detector = _drive_detector(arm, accel, gyro, t)
     timer = detector.stages
     report = detector.stage_report()
     assert report["windows"] > 0
@@ -134,6 +147,9 @@ def test_stage_timings_nonnegative_and_sum_to_e2e(use_block):
     e2e_total = report["e2e"]["mean"] * report["windows"]
     assert sum(timer.totals_ms.values()) == pytest.approx(e2e_total,
                                                           rel=1e-9)
+    shares = stage_attribution(report, budget_ms=150.0)
+    assert sum(row["share_of_e2e"] for row in shares) == pytest.approx(1.0)
+    assert timer.totals_ms["filter"] > 0.0
     # inference was charged through complete()'s latency_ms
     assert timer.totals_ms["inference"] == pytest.approx(
         0.5 * report["windows"])

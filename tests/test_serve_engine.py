@@ -10,20 +10,27 @@ The contracts under test:
 * bounded queues shed oldest-first and account for every drop;
 * batch wall-clock feeds each stream's deadline machinery, so sustained
   pressure sheds the CNN per stream and the magnitude fallback takes
-  over.
+  over;
+* each round filters every stream in one stacked SOS pass, bit-identical
+  to solo detectors, with raising sessions contained around it.
 """
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.detector import DetectorConfig
+from repro.core.detector import DetectorConfig, FallDetector
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeConfig, ServeEngine
 from repro.serve.bench import ServeBenchConfig, synth_stream
+from repro.signal import filters
 
 CFG = DetectorConfig(window_ms=200.0, overlap=0.5, threshold=0.4,
                      consecutive_required=1)
@@ -137,7 +144,7 @@ def test_quarantine_contains_raising_detector():
         def health_report(self):
             return {"cnn_shed": False}
 
-        def push_block(self, *a, **k):
+        def begin_block(self, *a, **k):
             raise RuntimeError("detector bug")
 
     engine.session("s1").detector = _Broken()
@@ -264,3 +271,117 @@ def test_engine_report_shape():
     assert report["samples_in"] == 200
     assert report["windows_inferred"] > 0
     assert report["batch_size"]["count"] == report["batches"]
+
+
+@pytest.mark.parametrize("stacked_raises", [False, True],
+                         ids=["stacked", "retried"])
+def test_stacked_round_contains_raisers_and_matches_solo(monkeypatch,
+                                                         stacked_raises):
+    """One round mixes a two-job block (a long-gap reset), a one-row
+    block, an empty queue, a detector raising before the filter and one
+    raising after it: only the raisers are quarantined, everyone else
+    rides one stacked filter call and matches a solo detector fed the
+    same blocks, window for window and bit for bit.
+
+    In the ``retried`` arm the stacked call itself raises: every begun
+    block is retried alone, the one-row block's retry raises too, and
+    only that session joins the quarantined raisers."""
+    model = _ConstantModel(0.6)
+    ids = ["gap", "one", "idle", "early", "late"]
+    data = {sid: stream for sid, stream in
+            zip(ids, _bench_streams(range(5)).values())}
+    accel, gyro, t = data["gap"]
+    t = t.copy()
+    t[75:] += 0.5                         # > max_gap_ms: a stream reset
+    data["gap"] = (accel, gyro, t)
+    # Per round, the rows each stream submits.
+    rounds = [{sid: slice(0, 30) for sid in ids},
+              {sid: slice(30, 60) for sid in ids},
+              {"gap": slice(60, 90), "one": slice(60, 61),
+               "early": slice(60, 70), "late": slice(60, 70)},
+              {sid: slice(90, 120) for sid in ("gap", "one", "idle")}]
+
+    windows: dict[int, list] = {}
+    real_complete = FallDetector.complete
+
+    def spy_complete(self, request, *args, **kwargs):
+        windows.setdefault(id(self), []).append(
+            (request.sample_index, request.window.copy()))
+        return real_complete(self, request, *args, **kwargs)
+
+    monkeypatch.setattr(FallDetector, "complete", spy_complete)
+
+    engine = _engine(model)
+    got = {sid: [] for sid in ids}
+    stacked_calls = []
+    for k, plan in enumerate(rounds):
+        for sid, rows in plan.items():
+            a, g, ts = data[sid]
+            for i in range(rows.start, rows.stop):
+                engine.submit(sid, a[i], g[i], ts[i])
+        if k == 2:
+            def _raise(*args, **kwargs):
+                raise RuntimeError("detector bug")
+
+            monkeypatch.setattr(engine.session("early").detector,
+                                "begin_block", _raise)
+            monkeypatch.setattr(engine.session("late").detector,
+                                "finish_block", _raise)
+            real_run_jobs = filters._run_jobs
+
+            def spy_run_jobs(coeffs, prime, jobs):
+                stacked_calls.append(len(jobs))
+                if stacked_raises and (len(stacked_calls) == 1
+                                       or jobs[0][1].shape[0] == 1):
+                    raise RuntimeError("filter bug")
+                return real_run_jobs(coeffs, prime, jobs)
+
+            monkeypatch.setattr(filters, "_run_jobs", spy_run_jobs)
+        for sid, hit in engine.step():
+            got[sid].append(hit)
+        if k == 2:
+            monkeypatch.setattr(filters, "_run_jobs", real_run_jobs)
+    # gap: 2 jobs (reset), one: 1, late: 1 (it raises after the filter);
+    # retried, each block alone in session order.
+    assert stacked_calls == ([4, 2, 1, 1] if stacked_raises else [4])
+    raisers = {"early", "late"} | ({"one"} if stacked_raises else set())
+    report = engine.stream_report()
+    assert {sid for sid in ids
+            if report[sid]["health"] == "quarantined"} == raisers
+    assert engine.stream_errors == len(raisers)
+    assert engine.session("gap").detector.stream_resets == 1
+
+    for sid in sorted({"gap", "one", "idle"} - raisers):
+        solo = FallDetector(model, CFG, registry=MetricsRegistry())
+        a, g, ts = data[sid]
+        expected = []
+        for plan in rounds:
+            rows = plan.get(sid)
+            if rows is None:
+                continue
+            hits, requests = solo.push_block(a[rows], g[rows], ts[rows])
+            expected.extend(hits)
+            for request in requests:
+                hit = solo.complete(request, 0.6, latency_ms=0.0)
+                if hit is not None:
+                    expected.append(hit)
+        served = engine.session(sid).detector
+        assert got[sid] == expected
+        mine, theirs = windows[id(served)], windows[id(solo)]
+        assert [i for i, _ in mine] == [i for i, _ in theirs]
+        assert all(np.array_equal(w, v)
+                   for (_, w), (_, v) in zip(mine, theirs))
+        assert np.array_equal(served._filter.state, solo._filter.state)
+        assert np.array_equal(served._buffer, solo._buffer)
+
+
+def test_serve_path_does_not_import_scipy_signal():
+    """``scipy.signal`` costs ~75 MB of resident memory per process: the
+    engine and every fleet worker filter with the hand-written SOS loop
+    and must not import it."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, repro.serve.engine, repro.fleet.worker; "
+            "sys.exit('scipy.signal' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0

@@ -62,8 +62,8 @@ class TestSosfilt:
         full, _ = sosfilt(sos, x)
         first, state = sosfilt(sos, x[:120])
         second, _ = sosfilt(sos, x[120:], state)
-        np.testing.assert_allclose(np.concatenate([first, second]), full,
-                                   atol=1e-12)
+        # Bitwise: push_block ≡ its per-sample oracle rests on this.
+        np.testing.assert_array_equal(np.concatenate([first, second]), full)
 
     def test_zi_matches_scipy(self):
         sos = butter_lowpass_sos(4, 5.0, 100.0)
@@ -87,6 +87,72 @@ class TestSosfilt:
         sos = butter_lowpass_sos(4, 5.0, 100.0)
         with pytest.raises(ValueError, match="zi"):
             sosfilt(sos, np.zeros((10, 2)), np.zeros((1, 2, 2)))
+
+
+class TestStackedJobs:
+    """``OnlineSosFilter.run`` — every stream of a serve round in one
+    pass — must be bit-identical to filtering each job alone."""
+
+    SOS = butter_lowpass_sos(4, 5.0, 100.0)
+
+    @staticmethod
+    def _solo(sos, zi, x):
+        """The per-job reference: ``sosfilt`` from the carried state, or
+        from steady state for the first row (missing or poisoned state)."""
+        if zi is None or not np.isfinite(zi).all():
+            zi = sosfilt_zi(sos)[:, :, None] * x[0]
+        return sosfilt(sos, x, zi)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           lengths=st.lists(st.integers(1, 60), min_size=1, max_size=12),
+           kinds=st.lists(st.sampled_from(["carried", "prime", "poisoned"]),
+                          min_size=12, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_equals_per_job_bitwise(self, seed, lengths, kinds):
+        rng = np.random.default_rng(seed)
+        channels = 9
+        jobs = []
+        for length, kind in zip(lengths, kinds):
+            x = rng.normal(size=(length, channels)) * 10.0 ** rng.uniform(
+                -3, 3, size=channels)
+            if kind == "prime":
+                zi = None
+            else:
+                zi = rng.normal(size=(self.SOS.shape[0], 2, channels))
+                if kind == "poisoned":
+                    zi[rng.integers(zi.shape[0]), rng.integers(2),
+                       rng.integers(channels)] = rng.choice(
+                           [np.nan, np.inf, -np.inf])
+            jobs.append((zi, x))
+        before = [None if zi is None else zi.copy() for zi, _ in jobs]
+        stacked = OnlineSosFilter(self.SOS, channels).run(jobs)
+        assert len(stacked) == len(jobs)
+        for (zi, x), (y, zf) in zip(jobs, stacked):
+            y_ref, zf_ref = self._solo(self.SOS, zi, x)
+            assert np.array_equal(y, y_ref)
+            assert np.array_equal(zf, zf_ref)
+        # The carried states are read, never written.
+        for zi0, (zi, _) in zip(before, jobs):
+            if zi0 is not None:
+                np.testing.assert_array_equal(zi, zi0)
+
+    def test_online_process_is_the_one_job_case(self):
+        rng = np.random.default_rng(7)
+        online = OnlineSosFilter(self.SOS, channels=9)
+        blocks = [rng.normal(size=(k, 9)) for k in (1, 20, 3, 1)]
+        for block in blocks:
+            carried = online.state
+            y = online.process(block)
+            ((y_job, state),) = online.run([(carried, block)])
+            np.testing.assert_array_equal(y, y_job)
+            np.testing.assert_array_equal(online.state, state)
+
+    def test_run_leaves_the_filter_state_alone(self):
+        online = OnlineSosFilter(self.SOS, channels=9)
+        online.process(np.ones((5, 9)))
+        state = online.state.copy()
+        online.run([(None, np.zeros((4, 9))), (state, np.ones((2, 9)))])
+        np.testing.assert_array_equal(online.state, state)
 
 
 class TestFiltfilt:
@@ -141,7 +207,7 @@ class TestOnlineFilter:
         # Reference: causal filtering with first-sample steady-state init.
         zi = sosfilt_zi(sos)[:, :, None] * x[0]
         reference, _ = sosfilt(sos, x, zi)
-        np.testing.assert_allclose(streamed, reference, atol=1e-10)
+        np.testing.assert_array_equal(streamed, reference)
 
     def test_no_startup_transient_on_constant(self):
         sos = butter_lowpass_sos(4, 5.0, 100.0)
