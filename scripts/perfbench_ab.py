@@ -99,7 +99,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(metric: dict, base: list[float],
               change: list[float]) -> dict:
     """Medians, spread, delta and verdict for one metric on one
-    workload; ``base``/``change`` are paired run values."""
+    workload; ``base``/``change`` are paired run values and ``metric``
+    its ``BENCHMARK.json`` entry (``better``, ``bound``)."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
     b_q1, b_med, b_q3 = quartiles(base)
     c_med = statistics.median(change)
@@ -107,7 +108,7 @@ def summarize(metric: dict, base: list[float],
     iqr = (b_q3 - b_q1) / b_med if b_med else 0.0
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     beats_all = min(sign * c for c in change) > max(sign * b for b in base)
-    return {
+    row = {
         "base_median": b_med,
         "change_median": c_med,
         "base_iqr_over_median": iqr,
@@ -120,6 +121,11 @@ def summarize(metric: dict, base: list[float],
                           and wins >= 0.9 * len(base)
                           and sign * (c_med - b_med) > b_q3 - b_q1),
     }
+    row["verdict"] = ("WORSE THAN BOUND" if row["over_bound"]
+                      else "gain" if row["gain_resolved"]
+                      else "unresolved" if row["unresolved"]
+                      else "ok")
+    return row
 
 
 def main(argv=None) -> int:
@@ -179,16 +185,12 @@ def main(argv=None) -> int:
                 row = summarize(metric, [b for b, _ in paired],
                                 [c for _, c in paired])
                 failed |= row["over_bound"]
-                verdict = ("WORSE THAN BOUND" if row["over_bound"]
-                           else "gain" if row["gain_resolved"]
-                           else "unresolved" if row["unresolved"]
-                           else "ok")
                 print(f"  {name:<26}{row['base_median']:>12.4g}"
                       f"{row['change_median']:>12.4g}"
                       f"{row['base_iqr_over_median']:>14.3f}"
                       f"{row['delta']:>+9.1%}"
                       f"{row['wins']:>4}/{row['pairs']:<2}"
-                      f"{metric['bound']:>8.2f}  {verdict}")
+                      f"{metric['bound']:>8.2f}  {row['verdict']}")
     return 1 if failed else 0
 
 

@@ -61,6 +61,7 @@ __all__ = [
     "Detection",
     "WindowRequest",
     "IngestedBlock",
+    "begin_blocks",
     "FallDetector",
     "MagnitudeFallback",
     "AirbagController",
@@ -90,6 +91,11 @@ _REPAIR_DEFAULTS.setflags(write=False)
 #: The "previous sample" of a stream's first sample: equal to nothing.
 _NAN_ROW = np.full((1, 6), np.nan)
 _NAN_ROW.setflags(write=False)
+#: The streaks (channel, sensor) of rows with nothing stuck or bad,
+#: shared read-only.
+_NO_STREAK = (np.zeros(6, dtype=int), np.zeros(2, dtype=int))
+_NO_STREAK[0].setflags(write=False)
+_NO_STREAK[1].setflags(write=False)
 
 #: ``any``/``all`` as bare ufunc reductions (``axis`` positional, ``None``
 #: for the whole array): ``ndarray.any``/``all`` add a Python-level
@@ -287,7 +293,13 @@ class MagnitudeFallback:
     def push_mag(self, mag: float) -> bool:
         """Feed one precomputed magnitude (see :meth:`push`)."""
         self._window.append(mag)
-        smooth = sum(self._window) / len(self._window)
+        # A left-to-right fold, not sum(): Python >= 3.12 sums floats with
+        # compensation, and the trailing mean must not depend on the
+        # interpreter (replaying a recorded incident must reproduce it).
+        smooth = 0.0
+        for value in self._window:
+            smooth += value
+        smooth /= len(self._window)
         if smooth < self.low_g:
             if self._watch_left <= 0:      # new episode: reset the extremes
                 self._mag_min = mag
@@ -305,8 +317,8 @@ class MagnitudeFallback:
 
 class IngestedBlock(NamedTuple):
     """One :meth:`FallDetector.push_block` between its halves: what
-    :meth:`~FallDetector.begin_block` (phases 1-4) leaves for
-    :meth:`~FallDetector.finish_block` (phases 5-7).
+    :meth:`~FallDetector.begin_block` / :func:`begin_blocks` (phases 1-4)
+    leaves for :meth:`~FallDetector.finish_block` (phases 5-7).
 
     ``jobs`` are the block's filter jobs, ``(carried state or None to
     prime, raw (rows, 9))`` per reset-delimited segment, for
@@ -330,6 +342,7 @@ class IngestedBlock(NamedTuple):
     owner: np.ndarray | None
     is_real: np.ndarray | None
     fill_time: np.ndarray | None
+    carried: tuple
 
 
 class FallDetector:
@@ -497,7 +510,7 @@ class FallDetector:
         ``recovery_samples`` clean samples pass — degraded-then-healthy,
         never silently healthy.
         """
-        if last_t is not None:
+        if last_t is not None and math.isfinite(last_t):
             self._last_t = float(last_t)
         self._update_health(anomaly=True)
 
@@ -830,7 +843,8 @@ class FallDetector:
 
         ``accel_g`` / ``gyro_dps`` are ``(n, 3)`` arrays; ``t`` is ``None``
         (fully untimestamped block) or a length-``n`` sequence of
-        timestamps where ``None``/NaN marks an untimestamped sample.
+        timestamps where ``None``, NaN or ±inf marks an untimestamped
+        sample.
         Every row is validated, gap-bridged and decided as :meth:`push`
         describes, but due CNN windows are staged rather than inferred so
         the caller can batch them across streams.
@@ -842,12 +856,11 @@ class FallDetector:
         windows, detections, health transitions and anomaly
         counters — ``tests/test_detector_block.py`` holds this across
         every builtin fault scenario and random block splits.
-        Repair/clamp/stuck tracking, gap synthesis, channel scaling and
-        window assembly (windows are views into one grown history) run as
-        numpy ops over the block, and the inherently sequential fusion
-        recurrence runs in one tight scalar pass
-        (:meth:`ComplementaryFilter.update_block
-        <repro.signal.orientation.ComplementaryFilter.update_block>`).
+        Repair/clamp/stuck tracking, gap synthesis, the fusion recurrence
+        (:meth:`ComplementaryFilter.run
+        <repro.signal.orientation.ComplementaryFilter.run>`), channel
+        scaling and window assembly (windows are views into one grown
+        history) run as numpy ops over the block.
 
         The block runs in two halves around its SOS filter pass:
         :meth:`begin_block` (repair, timestamps, gap fill, fusion) yields
@@ -855,9 +868,10 @@ class FallDetector:
         them in one :meth:`OnlineSosFilter.run
         <repro.signal.filters.OnlineSosFilter.run>` call, and
         :meth:`finish_block` (scale, windows, decisions) consumes the
-        result.  The serving engine runs the same halves with one
-        stacked filter call for every stream in a round; the kernel is
-        elementwise per column, so that is bit-identical to this.
+        result.  The serving engine runs the same halves for every
+        stream in a round at once — one :func:`begin_blocks` pass, one
+        stacked filter call — and every stacked op is elementwise per
+        stream, so that is bit-identical to this.
 
         Returns ``(detections, requests)``: fallback-path detections (at
         most one per *incoming* sample — the first among its gap fills
@@ -878,7 +892,8 @@ class FallDetector:
 
     def begin_block(self, accel_g, gyro_dps, t=None) -> IngestedBlock | None:
         """First half of :meth:`push_block`: phases 1-4 (repair,
-        timestamps, gap fill, fusion) for the block.
+        timestamps, gap fill, fusion) for the block — a one-detector
+        :func:`begin_blocks` round.
 
         Returns ``None`` for an empty block, else an
         :class:`IngestedBlock` whose ``jobs`` — ``(carried filter state,
@@ -887,67 +902,100 @@ class FallDetector:
         the jobs of other detectors of the same config) and passes, with
         the block, to :meth:`finish_block` before anything else touches
         this detector.
+
+        A single block skips :func:`begin_blocks`' round table: it runs
+        the per-stream repair, timestamp and gap-fill code directly (the
+        stacked flags would only decide whether to), then the same
+        fusion kernel and the same commit.
         """
-        accel = np.asarray(accel_g, dtype=float).reshape(-1, 3)
-        gyro = np.asarray(gyro_dps, dtype=float).reshape(-1, 3)
+        accel, gyro, t = _block_arrays(accel_g, gyro_dps, t)
         n = accel.shape[0]
-        if gyro.shape[0] != n:
-            raise ValueError(
-                f"accel and gyro disagree on block length: {n} vs "
-                f"{gyro.shape[0]}"
-            )
-        if t is None:
-            t_list = None
-        elif isinstance(t, np.ndarray):
-            t_list = t.astype(float).reshape(-1).tolist()
-        else:
-            t_list = [None if v is None else float(v) for v in t]
-        if t_list is not None and len(t_list) != n:
-            raise ValueError(
-                f"t must have one entry per sample: got {len(t_list)} "
-                f"for {n}"
-            )
         if n == 0:
             return None
         st = self.stages
         clk = st.clock if st is not None else None
         if clk is not None:
             t0 = clk()
+        # The incoming rows are the first six columns of the fused
+        # (rows, 9) table.
+        raw9 = np.empty((n, 9))
+        np.concatenate((accel, gyro), axis=1, out=raw9[:, :6])
+        block = self._begin_rows(raw9[:, :6], t, True, True)
+        if clk is not None:
+            t1 = clk()
+        if block.ex6.base is not raw9:
+            # Repaired values or gap fills: a table of the block's rows.
+            raw9 = np.empty((block.m, 9))
+            raw9[:, :6] = block.ex6
+        state = self._fusion.state
+        segments = block.segments
+        self._fusion.run(raw9[:, :3], raw9[:, 3:6],
+                         [a for a, _, _ in segments],
+                         [None if is_reset else state
+                          for _, _, is_reset in segments],
+                         out=raw9[:, 6:])
+        if clk is not None:
+            t2 = clk()
+            st.add("ingest", t1 - t0)
+            st.add("fusion", t2 - t1)
+        self._commit_rows(block, raw9, 0)
+        return block
 
-        # Phase 1 — repair/clamp/stuck tracking, vectorized over the block.
-        exact = np.concatenate((accel, gyro), axis=1)
-        repaired, data_anom, dead_rows = self._validate_block(exact)
-        # Phase 2 — timestamp classification (cheap scalar loop: the
-        # carried clock is inherently sequential).
-        (fills, resets, ts_anom, fill_base,
-         real_t, n_resets) = self._plan_timestamps_block(t_list, n)
+    def _begin_rows(self, exact, t, check_data: bool, check_ts: bool):
+        """Phases 1-3 (repair, timestamps, gap fill) for this detector's
+        incoming rows ``exact`` ``(n, 6)`` and timestamps ``t`` (a float
+        array, non-finite meaning untimestamped, or ``None``), reading
+        but not changing the detector's state.
+
+        ``check_data`` / ``check_ts`` False mean :func:`begin_blocks`
+        found nothing to repair or track in the rows, or nothing off in
+        their clock, so the per-stream passes are skipped.  Returns the
+        block, ``jobs`` still empty and ``carried`` holding what
+        :meth:`_commit_rows` later carries into the detector.
+        """
+        n = exact.shape[0]
+        if check_data:
+            repaired, data_anom, dead_rows, validated = \
+                self._validate_block(exact)
+        else:
+            repaired, data_anom, dead_rows = exact, None, None
+            validated = (*_NO_STREAK, 0, 0)
+        if check_ts:
+            (fills, resets, ts_anom, fill_base, real_t, n_resets, n_clock,
+             last_t) = self._plan_timestamps_block(
+                None if t is None else t.tolist(), n)
+            total_fill = sum(fills)
+        else:
+            real_t = [None] * n if t is None else t.tolist()
+            ts_anom = [False] * n
+            last_t = self._last_t if t is None else real_t[-1]
+            n_clock = n_resets = total_fill = 0
 
         # Phase 3 — expand gaps into synthesized fill rows.  Row metadata:
         # owner[r] = incoming sample a row belongs to (fills belong to the
         # sample whose arrival revealed the gap), is_real marks incoming
         # rows, and segments are the reset-delimited contiguous stretches.
-        anchor = self._prev_fill_anchor
-        if fills[0] and anchor is None:
+        if total_fill and fills[0] and self._prev_fill_anchor is None:
             # note_interruption seeds _last_t without an anchor: the gap
             # is flagged (ts_anom stays) but nothing can be interpolated.
-            fills = [0] + fills[1:]
-        total_fill = sum(fills)
-        dt_nom = self._dt_nom
+            total_fill -= fills[0]
+            fills[0] = 0
         if total_fill == 0 and n_resets == 0:
             m = n
             ex6 = repaired
             owner = None            # identity: row r is incoming sample r
             is_real = None          # every row is real
             fill_time = None
-            reset_rows = []
             segments = [(0, n, False)]
         else:
+            anchor = self._prev_fill_anchor
+            dt_nom = self._dt_nom
             m = n + total_fill
             ex6 = np.empty((m, 6))
             owner = np.empty(m, dtype=np.intp)
             is_real = np.zeros(m, dtype=bool)
             fill_time = np.zeros(m)
-            reset_rows = []
+            reset_rows = set()
             pos = 0
             for i in range(n):
                 k = fills[i]
@@ -960,42 +1008,53 @@ class FallDetector:
                     owner[pos:pos + k] = i
                     pos += k
                 if resets[i]:
-                    reset_rows.append(pos)
+                    reset_rows.add(pos)
                 ex6[pos] = repaired[i]
                 owner[pos] = i
                 is_real[pos] = True
                 pos += 1
-            reset_set = set(reset_rows)
-            cuts = sorted({0, m} | reset_set)
-            segments = [(cuts[ci], cuts[ci + 1], cuts[ci] in reset_set)
+            cuts = sorted({0, m} | reset_rows)
+            segments = [(cuts[ci], cuts[ci + 1], cuts[ci] in reset_rows)
                         for ci in range(len(cuts) - 1)]
+        return IngestedBlock(
+            self._filter, n, m, segments, [], ex6, exact, repaired,
+            data_anom, dead_rows, ts_anom, real_t, owner, is_real, fill_time,
+            (validated, n_clock, last_t, total_fill, n_resets))
+
+    def _commit_rows(self, block: IngestedBlock, raw9, off: int) -> None:
+        """Finish a :meth:`_begin_rows` block whose rows are the fused
+        table ``raw9``'s from row ``off``: one filter job per segment,
+        views of the table — the first continues the carried filter
+        state, a long-gap reset drops it and re-primes from the
+        segment's first row — then carry the block's end state into the
+        detector: validation streaks, clock, gap-fill anchor, fusion
+        angles and the anomaly counters."""
+        state = self._filter.state
+        block.jobs.extend([(None if is_reset else state,
+                            raw9[off + a:off + b])
+                           for a, b, is_reset in block.segments])
+        ((self._channel_stuck_streak, self._sensor_bad_streak, n_clip, n_bad),
+         n_clock, last_t, total_fill, n_resets) = block.carried
+        if n_clip:
+            self.saturated_samples += n_clip
+            self._counter("saturated_samples").inc(n_clip)
+        if n_bad:
+            self.repaired_samples += n_bad
+            self._counter("repaired_samples").inc(n_bad)
+        if n_clock:
+            self.clock_anomalies += n_clock
+            self._counter("clock_anomalies").inc(n_clock)
         if total_fill:
             self.gap_filled_samples += total_fill
             self._counter("gap_filled_samples").inc(total_fill)
         if n_resets:
             self.stream_resets += n_resets
             self._counter("stream_resets").inc(n_resets)
+        self._prev_raw_exact = block.exact[-1]
         # The next gap interpolates from the last repaired sample.
-        self._prev_fill_anchor = repaired[-1].copy()
-        if clk is not None:
-            t1 = clk()
-            st.add("ingest", t1 - t0)
-
-        # Phase 4 — orientation fusion (sequential recurrence, one pass).
-        euler = self._fusion.update_block(
-            ex6[:, :3], ex6[:, 3:], reset_rows=reset_rows or None)
-        # One filter job per segment: the first continues the carried
-        # state; a long-gap reset drops it and re-primes from the
-        # segment's first row.
-        raw9 = np.concatenate((ex6, euler), axis=1)
-        state = self._filter.state
-        jobs = [(None if is_reset else state, raw9[a:b])
-                for a, b, is_reset in segments]
-        if clk is not None:
-            st.add("fusion", clk() - t1)
-        return IngestedBlock(
-            self._filter, n, m, segments, jobs, ex6, exact, repaired,
-            data_anom, dead_rows, ts_anom, real_t, owner, is_real, fill_time)
+        self._last_raw = self._prev_fill_anchor = block.repaired[-1]
+        self._last_t = last_t
+        self._fusion.state = raw9[off + block.m - 1, 6:]
 
     def finish_block(
         self, block: IngestedBlock, filtered, filter_s: float = 0.0,
@@ -1007,7 +1066,9 @@ class FallDetector:
         ``filtered`` holds the ``(y, zf)`` output of ``block.filter.run``
         for each of ``block.jobs``, in order; ``filter_s`` is the wall
         time (seconds) charged to this block's ``filter`` stage — its
-        share of a stacked call.  Returns what :meth:`push_block` returns.
+        share of a stacked call.  The block may come from a
+        :func:`begin_blocks` pass over many detectors; it is this
+        detector's alone.  Returns what :meth:`push_block` returns.
         """
         st = self.stages
         clk = st.clock if st is not None else None
@@ -1025,10 +1086,11 @@ class FallDetector:
         windows: dict[int, np.ndarray] = {}    # due row -> its window
         for (a, b, is_reset), (y, _) in zip(block.segments, filtered):
             if is_reset:
-                # Long gap: drop the window state (the fusion reset was
-                # folded into update_block and the filter job re-primed);
-                # the CNN stays silent until the window refills.
-                self._buffer[:] = 0.0
+                # Long gap: drop the window state (the fusion and the
+                # filter job bootstrap from the segment's first row); the
+                # CNN stays silent until the window refills.  A new
+                # buffer: the previous segment's windows view the old.
+                self._buffer = np.zeros((window_n, 9))
                 self._filled = 0
                 self._since_last_inference = 0
             seg_len = b - a
@@ -1053,7 +1115,7 @@ class FallDetector:
             elif filled0 >= window_n:
                 self._since_last_inference += seg_len
             self._filled = min(window_n, filled0 + seg_len)
-            self._buffer = hist[seg_len:].copy()
+            self._buffer = hist[seg_len:]
         self._filter.state = filtered[-1][1]
         if clk is not None:
             t3 = clk()
@@ -1062,8 +1124,8 @@ class FallDetector:
         # Phase 6 — magnitude fallback: vectorized magnitudes, sequential
         # deque smoother (order-dependent trailing mean).
         if self._fallback is not None:
-            ax, ay, az = ex6[:, 0], ex6[:, 1], ex6[:, 2]
-            mags = np.sqrt(ax * ax + ay * ay + az * az)
+            sq = np.square(ex6[:, :3])
+            mags = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
             push_mag = self._fallback.push_mag
             fb_hits = [push_mag(mag) for mag in mags.tolist()]
         else:
@@ -1168,11 +1230,14 @@ class FallDetector:
         marks a frozen channel, and a sensor whose three channels are all
         stuck or bad is dead after ``dead_sensor_samples``.
 
-        Returns ``(repaired (n, 6), data_anomaly, dead)``:
+        Returns ``(repaired (n, 6), data_anomaly, dead, carried)``:
         ``data_anomaly`` is an ``(n,)`` bool array, ``None`` when no row
         is anomalous; ``dead`` is ``(accel_dead (n,), gyro_dead (n,))`` —
         each *row's* view of the dead-sensor trackers, which decisions
-        consult between rows — ``None`` when no row sees a dead sensor.
+        consult between rows — ``None`` when no row sees a dead sensor;
+        ``carried`` is ``(channel streaks, sensor streaks, clipped rows,
+        repaired rows)`` at the block's end, for :meth:`_commit_rows`.
+        Reads but does not change the detector's state.
         """
         cfg = self.config
         n = exact.shape[0]
@@ -1186,15 +1251,17 @@ class FallDetector:
             over &= finite
         data_anom = None
         repaired = exact
+        n_clip = n_bad = 0
         if _any(over, None):
             data_anom = _any(over, 1)
             n_clip = int(np.count_nonzero(data_anom))
-            self.saturated_samples += n_clip
-            self._counter("saturated_samples").inc(n_clip)
             repaired = np.clip(exact, -rails, rails)
         prev = self._prev_raw_exact
-        prev_rows = np.concatenate(
-            (_NAN_ROW if prev is None else prev[None, :], exact[:-1]))
+        if prev is not None and n == 1:
+            prev_rows = prev
+        else:
+            prev_rows = np.concatenate(
+                (_NAN_ROW if prev is None else prev[None, :], exact[:-1]))
         stuck_or_bad = exact == prev_rows
         if not all_finite:
             # Vectorized hold-last: each non-finite entry takes the most
@@ -1209,8 +1276,6 @@ class FallDetector:
             np.maximum.accumulate(src, axis=0, out=src)
             held = repaired[np.maximum(src, 0), np.arange(6)]
             repaired = np.where(src >= 0, held, carry)
-            self.repaired_samples += n_bad
-            self._counter("repaired_samples").inc(n_bad)
             data_anom = bad_rows if data_anom is None else data_anom | bad_rows
             stuck_or_bad |= bad
         if prev is None:
@@ -1236,20 +1301,16 @@ class FallDetector:
             dead_rows = sensor >= cfg.dead_sensor_samples
             if _any(dead_rows, None):
                 dead = (dead_rows[:, 0], dead_rows[:, 1])
-            self._channel_stuck_streak = streaks[-1].copy()
-            self._sensor_bad_streak = sensor[-1].copy()
+            carried = (streaks[-1], sensor[-1], n_clip, n_bad)
         else:
             # Nothing repeated and nothing bad: every streak is zero (a
             # threshold below 1 would count even that, hence the guard).
-            self._channel_stuck_streak = np.zeros(6, dtype=int)
-            self._sensor_bad_streak = np.zeros(2, dtype=int)
-        self._prev_raw_exact = exact[-1].copy()
-        self._last_raw = repaired[-1].copy()
-        return repaired, data_anom, dead
+            carried = (*_NO_STREAK, n_clip, n_bad)
+        return repaired, data_anom, dead, carried
 
     def _plan_timestamps_block(self, t_list, n: int):
         """Classify every inter-sample interval of a block up front and
-        advance the ``_last_t`` clock past it.
+        work out the clock past it.
 
         Relative to the previous timestamp: earlier than half a period is
         a clock anomaly (the sample is still processed); whole missing
@@ -1259,11 +1320,15 @@ class FallDetector:
         advances the clock by one nominal period, keeping the checks
         armed for the next sample.
 
-        Returns ``(fills, resets, ts_anom, fill_base, real_t, n_resets)``
-        — per incoming sample: synthesized-fill count, long-gap reset
-        flag, clock/gap anomaly flag, the fill interpolation base time,
-        and the (NaN-normalized) timestamp.  Leaves ``_last_t`` advanced
-        past the block and the clock-anomaly counter updated.
+        A non-finite timestamp (NaN, ±inf) counts as no timestamp.
+
+        Returns ``(fills, resets, ts_anom, fill_base, real_t, n_resets,
+        n_clock, last_t)`` — per incoming sample: synthesized-fill count,
+        long-gap reset flag, clock/gap anomaly flag, the fill
+        interpolation base time, and the timestamp (``None`` when
+        untimestamped); then the reset and clock-anomaly counts and the
+        clock past the block.  Reads but does not change the detector's
+        state.
         """
         dt_nom = self._dt_nom
         half = 0.5 * dt_nom
@@ -1278,7 +1343,7 @@ class FallDetector:
         last_t = self._last_t
         for i in range(n):
             ti = t_list[i] if t_list is not None else None
-            if ti is not None and ti != ti:     # NaN marks "no timestamp"
+            if ti is not None and not math.isfinite(ti):
                 ti = None
             real_t[i] = ti
             if ti is None:
@@ -1292,22 +1357,19 @@ class FallDetector:
                 if dt < half:
                     n_clock += 1
                     ts_anom[i] = True
-                else:
-                    missing = int(round(dt / dt_nom)) - 1
-                    if missing > 0:
-                        ts_anom[i] = True
-                        if dt * 1000.0 > max_gap_ms:
-                            resets[i] = True
-                            n_resets += 1
-                        else:
-                            fills[i] = missing
-                            fill_base[i] = last_t
+                elif dt / dt_nom >= 1.5:
+                    # round(dt / dt_nom) - 1 > 0 whole periods are missing;
+                    # the count is only needed (and finite) for a fill.
+                    ts_anom[i] = True
+                    if dt * 1000.0 > max_gap_ms:
+                        resets[i] = True
+                        n_resets += 1
+                    else:
+                        fills[i] = int(round(dt / dt_nom)) - 1
+                        fill_base[i] = last_t
             last_t = ti
-        if n_clock:
-            self.clock_anomalies += n_clock
-            self._counter("clock_anomalies").inc(n_clock)
-        self._last_t = last_t
-        return fills, resets, ts_anom, fill_base, real_t, n_resets
+        return (fills, resets, ts_anom, fill_base, real_t, n_resets, n_clock,
+                last_t)
 
     def run(
         self,
@@ -1327,6 +1389,167 @@ class FallDetector:
             if hit is not None:
                 detections.append(hit)
         return detections
+
+
+def begin_blocks(items) -> list[IngestedBlock | None]:
+    """:meth:`FallDetector.begin_block` for many detectors in one pass.
+
+    ``items`` holds ``(detector, accel_g, gyro_dps, t)`` per block, the
+    arguments :meth:`~FallDetector.begin_block` takes; the detectors must
+    be distinct and built from one :class:`DetectorConfig`.  Returns one
+    :class:`IngestedBlock` (``None`` for an empty block) per item, in
+    order — exactly what each detector's own ``begin_block`` would.
+
+    Every block's rows go into one table, each stream's carried previous
+    row and clock in front of its rows, and the numpy work runs once
+    over it: the non-finite, over-rail and exact-repeat flags, the
+    timestamp checks, and the fusion recurrence
+    (:meth:`ComplementaryFilter.run
+    <repro.signal.orientation.ComplementaryFilter.run>`, one time loop
+    across every stream).  Only a block whose rows raise a flag runs the
+    per-stream repair/streak or timestamp/gap-fill code, on its own
+    slice.  The filter jobs are views into one fused ``(rows, 9)``
+    table.  A lone block is its detector's ``begin_block``, which skips
+    the round table (what ``push`` pays for).
+
+    All-or-nothing: nothing is written to any detector until every block
+    is built, so when this raises every detector is as it was and the
+    caller may retry the blocks one by one.  Each detector's ``ingest``
+    and ``fusion`` stages are charged its row share of the pass.
+    """
+    out: list = [None] * len(items)
+    live = []               # (index, detector, accel, gyro, t, first row)
+    n_rows = 0
+    for k, (det, accel_g, gyro_dps, t) in enumerate(items):
+        accel, gyro, t = _block_arrays(accel_g, gyro_dps, t)
+        if accel.shape[0]:
+            live.append((k, det, accel, gyro, t, n_rows))
+            n_rows += accel.shape[0]
+    if len(live) < 2:
+        for k, det, accel, gyro, t, _ in live:
+            out[k] = det.begin_block(accel, gyro, t)
+        return out
+    det0 = live[0][1]
+    st = det0.stages
+    clk = st.clock if st is not None else None
+    if clk is not None:
+        t0 = clk()
+
+    # Phases 1-3 — validation, timestamps, gap fill.  The incoming rows
+    # are the first six columns of the fused (rows, 9) table.
+    raw9 = np.empty((n_rows, 9))
+    exact = raw9[:, :6]
+    np.concatenate([item[2] for item in live], out=exact[:, :3])
+    np.concatenate([item[3] for item in live], out=exact[:, 3:])
+    starts = np.array([item[5] for item in live])
+    begun = [item[1]._begin_rows(
+                 exact[item[5]:item[5] + item[2].shape[0]], item[4], *check)
+             for item, check
+             in zip(live, _round_checks(det0, live, exact, starts))]
+    if clk is not None:
+        t1 = clk()
+
+    # Phase 4 — fusion: one recurrence over every segment of every block,
+    # into the table's last three columns, whose row slices are the
+    # filter jobs.  A block whose rows needed no repair or gap fill
+    # kept its slice of the table as its rows.
+    if all([block.ex6.base is raw9 for block in begun]):
+        offsets = [item[5] for item in live]
+    else:
+        raw9 = np.empty((sum([block.m for block in begun]), 9))
+        np.concatenate([block.ex6 for block in begun], out=raw9[:, :6])
+        offsets = np.cumsum([0] + [block.m for block in begun[:-1]]).tolist()
+    seg_starts = []
+    seg_states = []
+    for block, off, item in zip(begun, offsets, live):
+        state = item[1]._fusion.state
+        for a, _, is_reset in block.segments:
+            seg_starts.append(off + a)
+            # A long-gap reset (or a new stream) bootstraps the fusion.
+            seg_states.append(None if is_reset else state)
+    det0._fusion.run(raw9[:, :3], raw9[:, 3:6], seg_starts, seg_states,
+                     out=raw9[:, 6:])
+    if clk is not None:
+        t2 = clk()
+        ingest_s = (t1 - t0) / n_rows
+        fusion_s = (t2 - t1) / raw9.shape[0]
+    for block, off, item in zip(begun, offsets, live):
+        det = item[1]
+        det._commit_rows(block, raw9, off)
+        if clk is not None:
+            det.stages.add("ingest", ingest_s * block.n)
+            det.stages.add("fusion", fusion_s * block.m)
+        out[item[0]] = block
+    return out
+
+
+def _block_arrays(accel_g, gyro_dps, t):
+    """One block's arguments as ``(accel (n, 3), gyro (n, 3), t)``: ``t``
+    ``None`` or a float array, ``None`` entries becoming NaN (no
+    timestamp).  Raises ``ValueError`` when the lengths disagree."""
+    accel = np.asarray(accel_g, dtype=float).reshape(-1, 3)
+    gyro = np.asarray(gyro_dps, dtype=float).reshape(-1, 3)
+    n = accel.shape[0]
+    if gyro.shape[0] != n:
+        raise ValueError(
+            f"accel and gyro disagree on block length: {n} vs "
+            f"{gyro.shape[0]}"
+        )
+    if t is not None:
+        t = np.asarray(t, dtype=float).reshape(-1)
+        if t.shape[0] != n:
+            raise ValueError(
+                f"t must have one entry per sample: got {t.shape[0]} "
+                f"for {n}"
+            )
+    return accel, gyro, t
+
+
+def _round_checks(det0, live, exact, starts) -> list:
+    """``(data, clock)`` per block of a :func:`begin_blocks` round: does
+    it need the per-stream repair/streak pass, the per-stream timestamp
+    pass?  Computed once over the round table ``exact``, whose block
+    ``j`` starts at row ``starts[j]``.
+
+    Data needs the pass when any row is non-finite, over a rail or an
+    exact repeat of the row before it (the stream's carried row for a
+    block's first); the clock when any timestamp is missing, early or
+    leaves a whole period out, or when an untimestamped block arrives
+    on a running clock.  Clean blocks reset every streak and advance
+    the clock to their last timestamp.
+    """
+    cfg = det0.config
+    dets = [item[1] for item in live]
+    if cfg.stuck_channel_samples < 1 or cfg.dead_sensor_samples < 1:
+        # Even a clean row counts toward a streak this short.
+        data = [True] * len(live)
+    else:
+        prev = np.empty_like(exact)
+        prev[1:] = exact[:-1]
+        prev[starts] = [_NAN_ROW[0] if d._prev_raw_exact is None
+                        else d._prev_raw_exact for d in dets]
+        flag = ~np.isfinite(exact)
+        flag |= np.abs(exact) > det0._rails
+        flag |= exact == prev
+        data = np.logical_or.reduceat(_any(flag, 1), starts).tolist()
+    last = [d._last_t for d in dets]
+    if all(item[4] is None for item in live):
+        return [(d, lt is not None) for d, lt in zip(data, last)]
+    t_all = np.concatenate([
+        np.full(item[2].shape[0], np.nan) if item[4] is None else item[4]
+        for item in live])
+    prev_t = np.empty_like(t_all)
+    prev_t[1:] = t_all[:-1]
+    prev_t[starts] = [np.nan if lt is None else lt for lt in last]
+    dt_nom = det0._dt_nom
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = t_all - prev_t
+        off = ~np.isfinite(t_all)
+        off |= dt < 0.5 * dt_nom
+        off |= dt / dt_nom >= 1.5
+    clock = np.logical_or.reduceat(off, starts).tolist()
+    return [(d, c if item[4] is not None else lt is not None)
+            for d, c, lt, item in zip(data, clock, last, live)]
 
 
 class AirbagController:

@@ -4,9 +4,10 @@ The single-stream :class:`~repro.core.detector.FallDetector` costs one
 batch-of-1 ``Model.predict`` per due window — N concurrent wearables cost
 N full forwards.  :class:`ServeEngine` amortises that: it accepts
 interleaved ``(stream_id, accel, gyro, t)`` samples into bounded
-per-stream queues, advances every session's filter/ring-buffer state —
-one stacked SOS filter pass for all sessions per round — and
-collects *all* windows that come due across sessions into **one** batched
+per-stream queues, advances every session's DSP and ring-buffer state —
+per round, one front-half pass (validation, timestamps, fusion) and one
+SOS filter pass, each stacked across all sessions — and collects *all*
+windows that come due across sessions into **one** batched
 ``Model.predict`` call per inference round.
 
 Correctness contract
@@ -34,13 +35,14 @@ deadline violations are exported through :mod:`repro.obs`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..alerts import AlertConfig, AlertManager
-from ..core.detector import Detection, DetectorConfig
+from ..core.detector import Detection, DetectorConfig, begin_blocks
 from ..nn.config import batch_invariant
 from ..obs import (
     FlightConfig,
@@ -300,9 +302,11 @@ class ServeEngine:
         if len(queue) > self._peak_queue_depth:
             self._peak_queue_depth = len(queue)
         self.samples_in += 1
-        if t is not None and (self._latest_t is None or t > self._latest_t):
+        if (t is not None and (self._latest_t is None or t > self._latest_t)
+                and math.isfinite(t)):
             # Fleet stream clock: drives alert confirm-window expiry and
-            # auto-resolve even on rounds with no detections.
+            # auto-resolve even on rounds with no detections.  Only a
+            # finite timestamp advances it.
             self._latest_t = float(t)
         return True
 
@@ -313,10 +317,12 @@ class ServeEngine:
         """Drain every queue and run the due windows in micro-batches.
 
         Each session's whole queue is ingested as one vectorized block —
-        ``push_block``'s two halves with one SOS filter pass stacked
-        across every session in between (bit-identical to a per-sample
-        loop with completes deferred to the block boundary) — then one
-        batched forward runs for all staged windows across streams;
+        ``push_block``'s two halves, with the front half
+        (:func:`~repro.core.detector.begin_blocks`) and the SOS filter
+        pass each run once, stacked across every session (bit-identical
+        to a per-sample loop with completes deferred to the block
+        boundary) — then one batched forward runs for all staged windows
+        across streams;
         rounds repeat until every queue is empty.  The queue-depth
         gauge reports the deepest any stream's queue got since the
         previous step (burst peaks included), then settles to the
@@ -354,10 +360,11 @@ class ServeEngine:
 
     def _advance_round(self, detections) -> list[StreamSession]:
         """Drain each session's queue as one block and run it through
-        the detector's two halves, with one stacked filter pass for
-        every session in between; returns the sessions that staged
-        windows this round."""
-        begun = []
+        the detector's two halves, each stacked across every session —
+        one front-half pass (:func:`~repro.core.detector.begin_blocks`)
+        and one filter pass — before each session's ``finish_block``;
+        returns the sessions that staged windows this round."""
+        drained = []
         for session in self._sessions.values():
             if session.quarantined:
                 session.queue.clear()
@@ -365,13 +372,10 @@ class ServeEngine:
             if not session.queue:
                 continue
             try:
-                accel, gyro, t = session.drain_block()
-                block = session.detector.begin_block(accel, gyro, t)
+                drained.append((session, *session.drain_block()))
             except Exception:
                 self._quarantine(session)
-                continue
-            if block is not None:
-                begun.append((session, block))
+        begun = self._begin_stacked(drained)
         staged_sessions = []
         for (session, block), result in zip(begun,
                                             self._filter_stacked(begun)):
@@ -391,6 +395,34 @@ class ServeEngine:
                 session.staged = requests
                 staged_sessions.append(session)
         return staged_sessions
+
+    def _begin_stacked(self, drained) -> list:
+        """Every drained block's front half in one ``begin_blocks`` pass;
+        returns the ``(session, block)`` pairs with rows.
+
+        ``begin_blocks`` changes no detector unless it succeeds for all,
+        so should it raise, each block is retried alone through its
+        detector's ``begin_block`` and a session whose block still
+        raises is quarantined.
+        """
+        try:
+            blocks = begin_blocks([(session.detector, accel, gyro, t)
+                                   for session, accel, gyro, t in drained])
+        except Exception:
+            _logger.exception("stacked front half raised for %d blocks; "
+                              "retrying per block", len(drained))
+            blocks = [self._begin_solo(*item) for item in drained]
+        return [(item[0], block) for item, block in zip(drained, blocks)
+                if block is not None]
+
+    def _begin_solo(self, session, accel, gyro, t):
+        """One block's front half alone, or ``None`` with the session
+        quarantined when that raises too."""
+        try:
+            return session.detector.begin_block(accel, gyro, t)
+        except Exception:
+            self._quarantine(session)
+            return None
 
     def _filter_stacked(self, begun) -> list:
         """Every begun block's filter jobs in one ``OnlineSosFilter.run``

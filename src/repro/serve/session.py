@@ -76,7 +76,7 @@ class StreamSession:
 
     def drain_block(self):
         """Pop every queued sample, stacked as one detector block
-        (``FallDetector.push_block`` / ``begin_block``).
+        (``FallDetector.push_block`` / ``begin_blocks``).
 
         Returns ``(accel (n, 3), gyro (n, 3), t)`` where ``t`` is ``None``
         when no queued sample carried a timestamp, else a float array with

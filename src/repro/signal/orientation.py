@@ -22,6 +22,12 @@ import numpy as np
 
 __all__ = ["accel_inclination", "ComplementaryFilter", "estimate_euler_angles"]
 
+_all = np.logical_and.reduce
+#: Placeholder carried state of a job that bootstraps instead.
+_ORIGIN = (0.0, 0.0, 0.0)
+#: The gyro columns (x, y, z rates) that drive (pitch, roll, yaw).
+_PITCH_ROLL_YAW_RATES = np.array([1, 0, 2])
+
 
 def accel_inclination(accel_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pitch and roll (degrees) implied by the accelerometer alone.
@@ -55,74 +61,121 @@ class ComplementaryFilter:
         self.fs = float(fs)
         self.dt = 1.0 / self.fs
         self.alpha = tau / (tau + self.dt)
+        self._gain = np.array([self.alpha, self.alpha, 1.0])
         self._angles: np.ndarray | None = None  # (pitch, roll, yaw) degrees
 
     def reset(self) -> None:
         self._angles = None
 
-    def update_block(
-        self,
-        accel_g: np.ndarray,
-        gyro_dps: np.ndarray,
-        reset_rows=None,
-    ) -> np.ndarray:
-        """Fuse a block ``(n, 3)`` carrying streaming state across calls;
-        returns ``[pitch, roll, yaw]`` per row, in degrees.
+    @property
+    def state(self) -> np.ndarray | None:
+        """Carried ``(pitch, roll, yaw)`` in degrees, ``None`` until the
+        first sample; assign a job's last row from :meth:`run` to continue
+        the stream from it."""
+        return self._angles
 
-        The streaming detector's fusion step.  The accelerometer
-        inclination is vectorised (elementwise, so any split into blocks
-        gives the same bits) while the blend recurrence — inherently
-        sequential — runs in one tight scalar pass.  It is bit-identical
-        to the per-sample ``update`` kept as the reference in
-        ``tests/detector_oracle.py``.  ``reset_rows`` lists row indices at
-        which to :meth:`reset` *before* fusing that row (the detector's
-        long-gap stream resets).  Unlike :meth:`process`, the entry state
-        is honoured and the exit state is kept for the next call.
+    @state.setter
+    def state(self, value: np.ndarray | None) -> None:
+        self._angles = value
+
+    def run(self, accel_g, gyro_dps, starts, states, out=None) -> np.ndarray:
+        """Fuse many independent jobs — several streams' blocks — in one
+        pass; returns ``[pitch, roll, yaw]`` per row, in degrees.
+
+        The streaming detector's fusion step.  ``accel_g`` / ``gyro_dps``
+        are ``(m, 3)`` rows holding the jobs back to back: job ``k``
+        starts at row ``starts[k]`` (``starts[0] == 0``, increasing) and
+        runs to the next start.  ``states[k]`` is its carried
+        ``(pitch, roll, yaw)``, or ``None`` to bootstrap from the
+        accelerometer at its first row (a new stream, or the detector's
+        long-gap reset).  A job's exit state is its last output row.
+        The rows go to ``out`` (an ``(m, 3)`` array) when given.  This
+        filter's own state is untouched.
+
+        Ragged jobs are padded into ``(steps, jobs)`` slots, so the
+        sequential recurrence runs as one loop over time whose vector
+        width is the job count.  Yaw shares the loop with a gain of 1
+        and no accelerometer pull, which leaves its pure gyro integration
+        exact (``y * 1 + 0 == y`` for every ``y`` but -0.0, which a sum
+        started at +0.0 never reaches).  Every op is elementwise per job,
+        in the order of the per-sample ``update`` kept as the reference
+        in ``tests/detector_oracle.py``, so any split into jobs gives the
+        same bits.
         """
-        accel_g = np.asarray(accel_g, dtype=float)
-        gyro_dps = np.asarray(gyro_dps, dtype=float)
-        n = accel_g.shape[0]
-        out = np.empty((n, 3))
-        if n == 0:
+        m = len(accel_g)
+        if out is None:
+            out = np.empty((m, 3))
+        if m == 0:
             return out
-        pitch_acc, roll_acc = accel_inclination(accel_g)
-        pa = pitch_acc.tolist()
-        ra = roll_acc.tolist()
-        gx = gyro_dps[:, 0].tolist()
-        gy = gyro_dps[:, 1].tolist()
-        gz = gyro_dps[:, 2].tolist()
-        resets = set(reset_rows) if reset_rows is not None else ()
-        alpha = self.alpha
-        one_m_alpha = 1.0 - alpha
-        dt = self.dt
-        if self._angles is None:
-            state = None
+        jobs = len(starts)
+        fresh = [state is None for state in states]
+        any_fresh = True in fresh
+        if any_fresh:
+            states = [_ORIGIN if state is None else state
+                      for state in states]
+        # Per row, the gyro increments in (pitch, roll, yaw) order: pitch
+        # integrates the y rate, roll the x rate, yaw the z rate.
+        rate = np.take(gyro_dps, _PITCH_ROLL_YAW_RATES, axis=1)
+        rate *= self.dt
+        steps = m // jobs
+        if jobs == 1:
+            # One job: the slots are the rows, fused straight into ``out``.
+            slot = None
+            acc = np.asarray(accel_g, dtype=float)
+            state = states[0]
+            fused = out
         else:
-            state = (float(self._angles[0]), float(self._angles[1]),
-                     float(self._angles[2]))
-        for i in range(n):
-            if i in resets:
-                state = None
-            if state is None:
-                # Bootstrap from the accelerometer; yaw starts at 0.
-                state = (pa[i], ra[i], 0.0)
+            state = np.asarray(states, dtype=float).reshape(jobs, 3)
+            if steps * jobs == m and _all(
+                    np.asarray(starts) == np.arange(0, m, steps), None):
+                # Equal lengths: the slots are the rows, transposed.
+                slot = None
+                acc = np.reshape(accel_g, (jobs, steps, 3)).transpose(1, 0, 2)
+                rate = rate.reshape(jobs, steps, 3).transpose(1, 0, 2)
             else:
-                pitch, roll, yaw = state
-                state = (
-                    alpha * (pitch + gy[i] * dt) + one_m_alpha * pa[i],
-                    alpha * (roll + gx[i] * dt) + one_m_alpha * ra[i],
-                    yaw + gz[i] * dt,
-                )
-            out[i, 0] = state[0]
-            out[i, 1] = state[1]
-            out[i, 2] = state[2]
-        self._angles = np.array(state)
+                starts = np.asarray(starts, dtype=np.intp)
+                lengths = np.diff(starts, append=m)
+                steps = int(lengths.max())
+                job = np.repeat(np.arange(jobs), lengths)
+                slot = (np.arange(m) - starts[job], job)
+                acc = np.zeros((steps, jobs, 3))
+                acc[slot] = accel_g
+                rows = rate
+                rate = np.zeros((steps, jobs, 3))
+                rate[slot] = rows
+            fused = np.empty((steps, jobs, 3))
+        # The accelerometer inclination (accel_inclination's ops) as the
+        # pull on pitch and roll, scaled to its (1 - alpha) share; yaw
+        # takes no pull and a gain of 1.
+        ax, ay, az = acc[..., 0], acc[..., 1], acc[..., 2]
+        pull = np.zeros(acc.shape)
+        np.arctan2(ax, np.sqrt(ay**2 + az**2), out=pull[..., 0])
+        np.arctan2(ay, az, out=pull[..., 1])
+        np.degrees(pull, out=pull)
+        if any_fresh:
+            # A fresh job starts at its first inclination, yaw at 0.
+            boot = pull[0].copy()
+        pull *= 1.0 - self.alpha
+        gain = self._gain
+        for i in range(steps):
+            row = fused[i]
+            np.add(state, rate[i], out=row)
+            row *= gain
+            row += pull[i]
+            if i == 0 and any_fresh:
+                np.copyto(row, boot, where=np.reshape(
+                    fresh, row.shape[:-1] + (1,)))
+            state = row
+        if slot is not None:
+            out[:] = fused[slot]
+        elif jobs > 1:
+            out.reshape(jobs, steps, 3)[:] = fused.transpose(1, 0, 2)
         return out
 
     def process(self, accel_g: np.ndarray, gyro_dps: np.ndarray) -> np.ndarray:
         """Fuse whole aligned arrays ``(n, 3)``; returns angles ``(n, 3)``.
 
-        The same recurrence as :meth:`update_block`, evaluated as a
+        The same recurrence as :meth:`run`, evaluated as a
         first-order IIR with a vectorised filter for dataset-scale speed
         (dataset synthesis and alignment, i.e. the training inputs).  It
         is *not* bit-identical to the streaming recurrence: ``lfilter``

@@ -21,6 +21,8 @@ block.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.detector import (
@@ -36,7 +38,7 @@ __all__ = ["OracleComplementaryFilter", "OracleDetector"]
 
 class OracleComplementaryFilter(ComplementaryFilter):
     """:class:`ComplementaryFilter` plus the per-sample ``update`` that
-    ``update_block`` is bit-identical to."""
+    the stacked ``run`` is bit-identical to."""
 
     def update(self, accel_g: np.ndarray, gyro_dps: np.ndarray) -> np.ndarray:
         """Fuse one sample; returns ``[pitch, roll, yaw]`` in degrees."""
@@ -150,12 +152,12 @@ class OracleDetector(FallDetector):
             self.clock_anomalies += 1
             self._counter("clock_anomalies").inc()
             return 0, False, True
-        missing = int(round(dt / dt_nom)) - 1
-        if missing <= 0:
+        if dt / dt_nom < 1.5:
+            # round(dt / dt_nom) - 1 <= 0: no whole period is missing.
             return 0, False, False
         if dt * 1000.0 > cfg.max_gap_ms:
             return 0, True, True
-        return missing, False, True
+        return int(round(dt / dt_nom)) - 1, False, True
 
     def _reset_stream_state(self) -> None:
         """Long gap: drop filter/fusion/window state and re-prime.
@@ -310,6 +312,8 @@ class OracleDetector(FallDetector):
             t0 = clk()
         accel_g = np.asarray(accel_g, dtype=float).reshape(3)
         gyro_dps = np.asarray(gyro_dps, dtype=float).reshape(3)
+        if t is not None and not math.isfinite(t):
+            t = None                # NaN or ±inf marks "no timestamp"
         n_fill, long_gap, clock_anomaly = self._handle_timestamp(t)
         accel, gyro, data_anomaly = self._validate(accel_g, gyro_dps)
         if clk is not None:
@@ -382,8 +386,6 @@ class OracleDetector(FallDetector):
         requests: list[WindowRequest] = []
         for i in range(accel.shape[0]):
             ti = t_list[i] if t_list is not None else None
-            if ti is not None and ti != ti:     # NaN marks "no timestamp"
-                ti = None
             hit, staged = self._push(accel[i], gyro[i], ti, collect=[])
             if hit is not None:
                 detections.append(hit)

@@ -18,6 +18,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.detector import DetectorConfig, FallDetector
 from repro.faults import (
@@ -294,6 +296,44 @@ def test_push_matches_oracle_push_without_model_or_timestamps():
     _assert_push_identical(accel, gyro, t, model_cls=None)
 
 
+def _non_finite_stream():
+    """Timestamps that are ±inf or NaN at scattered rows, the first
+    sample's included (no clock yet), and a +inf as the very last."""
+    accel, gyro, t = _base_stream(0)
+    t = t.copy()
+    t[0] = np.inf
+    t[40] = np.inf
+    t[41] = -np.inf
+    t[90:93] = [np.nan, np.inf, np.nan]
+    t[200] = -np.inf
+    t[-1] = np.inf
+    return accel, gyro, t
+
+
+def test_non_finite_timestamps_count_as_untimestamped():
+    """±inf is no timestamp, like NaN: ``push`` and ``push_block`` do
+    not raise (``int(round(inf))`` used to), match the oracle, and
+    count each one after the clock started as a clock anomaly."""
+    accel, gyro, t = _non_finite_stream()
+    _, detector = _assert_push_identical(accel, gyro, t)
+    rng = np.random.default_rng(17)
+    _assert_identical(accel, gyro, t, _random_splits(len(accel), rng))
+    # Rows 40, 41, 90-92, 200 and the last; row 0 precedes the clock.
+    assert detector.clock_anomalies == 7
+    assert detector.stream_resets == 0
+
+
+def test_huge_finite_timestamp_jump_resets_without_raising():
+    """A jump whose interval overflows to inf is a long gap (reset),
+    not an ``OverflowError``."""
+    accel, gyro, t = _base_stream(0, duration_s=1.0)
+    t = t.copy()
+    t[:50] = -1e308
+    t[50:] = 1e308 + np.arange(len(t) - 50) / 100.0
+    _, detector = _assert_push_identical(accel, gyro, t)
+    assert detector.stream_resets == 1
+
+
 class _NanOnCall:
     """``_TanhModel`` whose ``k``-th predict call returns NaN (a failed
     inference, which sheds the CNN)."""
@@ -340,9 +380,10 @@ def test_push_fill_window_shed_reaches_health_one_sample_later():
     assert report_p["inference_errors"] == 1
 
 
-def test_update_block_matches_oracle_update_bit_for_bit():
-    """Fusion: the block recurrence ≡ the oracle's per-sample ``update``,
-    across uneven block splits and a mid-stream reset."""
+def test_fusion_run_matches_oracle_update_bit_for_bit():
+    """Fusion: the stacked recurrence, fed one stream in uneven chunks
+    with its state carried between them, ≡ the oracle's per-sample
+    ``update``, across a mid-stream reset."""
     from repro.signal.orientation import ComplementaryFilter
     from tests.detector_oracle import OracleComplementaryFilter
 
@@ -355,11 +396,66 @@ def test_update_block_matches_oracle_update_bit_for_bit():
         if i == 333:
             oracle.reset()
         want.append(oracle.update(accel[i], gyro[i]))
-    block = ComplementaryFilter(fs=100.0)
+    fusion = ComplementaryFilter(fs=100.0)
     cuts = [0, 1, 2, 90, 300, 301, 599, 600]
-    got = np.vstack([
-        block.update_block(accel[a:b], gyro[a:b],
-                           reset_rows=[333 - a] if a <= 333 < b else None)
-        for a, b in zip(cuts[:-1], cuts[1:])
-    ])
+    got = []
+    state = None
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        starts, states = [0], [state]
+        if a < 333 < b:         # the reset bootstraps a job of its own
+            starts, states = [0, 333 - a], [state, None]
+        chunk = fusion.run(accel[a:b], gyro[a:b], starts, states)
+        state = chunk[-1]
+        got.append(chunk)
+    np.testing.assert_array_equal(np.vstack(got), np.vstack(want))
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       lengths=st.lists(st.integers(1, 60), min_size=1, max_size=10),
+       kinds=st.lists(st.sampled_from(["carried", "none", "reset"]),
+                      min_size=10, max_size=10))
+@settings(max_examples=60, deadline=None)
+def test_stacked_fusion_matches_oracle_update(seed, lengths, kinds):
+    """``ComplementaryFilter.run`` over ragged jobs — each carried over
+    from a warmed-up stream, new (``None``) or a stream split by a reset
+    into two jobs — ≡ the oracle's per-sample ``update`` on each stream
+    alone, bit for bit."""
+    from repro.signal.orientation import ComplementaryFilter
+    from tests.detector_oracle import OracleComplementaryFilter
+
+    rng = np.random.default_rng(seed)
+    accel, gyro, starts, states, want = [], [], [], [], []
+    row = 0
+    for length, kind in zip(lengths, kinds):
+        a = rng.normal([0, 0, 1], 0.4, size=(length, 3))
+        g = rng.normal(0, 150, size=(length, 3))
+        oracle = OracleComplementaryFilter(fs=100.0)
+        if kind == "none":
+            state = None
+        else:
+            for _ in range(rng.integers(1, 5)):
+                oracle.update(rng.normal([0, 0, 1], 0.4, 3),
+                              rng.normal(0, 150, 3))
+            state = oracle.state.copy()
+        cut = int(rng.integers(1, length)) if (kind == "reset"
+                                               and length > 1) else length
+        for i in range(length):
+            if i == cut:
+                oracle.reset()
+            want.append(oracle.update(a[i], g[i]))
+        starts.append(row)
+        states.append(state)
+        if cut < length:
+            starts.append(row + cut)
+            states.append(None)
+        accel.append(a)
+        gyro.append(g)
+        row += length
+    before = [None if s is None else s.copy() for s in states]
+    got = ComplementaryFilter(fs=100.0).run(np.vstack(accel),
+                                            np.vstack(gyro), starts, states)
     np.testing.assert_array_equal(got, np.vstack(want))
+    # The carried states are read, never written.
+    for s0, s in zip(before, states):
+        if s0 is not None:
+            np.testing.assert_array_equal(s, s0)

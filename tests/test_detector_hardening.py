@@ -288,6 +288,18 @@ class TestFallbackSensitivity:
             detected += any(lo <= h.time_s <= hi for h in hits)
         assert detected / len(falls) >= 0.80
 
+    def test_magnitude_fallback_mean_is_a_left_to_right_fold(self):
+        """The trailing mean adds left to right, on every interpreter:
+        on [1e16, 1, 1] that gives 1e16 / 3, while compensated summation
+        (``sum`` on Python >= 3.12) gives (1e16 + 2) / 3, one ulp
+        higher.  With ``low_g`` at the latter only the fold arms the
+        watch, and ``range_g=0`` fires on arming."""
+        fallback = MagnitudeFallback(fs=100.0, smooth_ms=30.0, range_g=0.0,
+                                     low_g=(1e16 + 2.0) / 3.0)
+        assert (1e16 + 1.0 + 1.0) / 3.0 < fallback.low_g
+        fired = [fallback.push_mag(v) for v in (1e16, 1.0, 1.0)]
+        assert fired == [False, False, True]
+
     def test_magnitude_fallback_ignores_quiet_standing(self):
         fallback = MagnitudeFallback()
         rng = np.random.default_rng(3)

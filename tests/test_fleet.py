@@ -171,6 +171,27 @@ class TestBackpressure:
             front.close()
 
 
+class TestStreamClock:
+    def test_non_finite_timestamps_do_not_move_the_fleet_clock(self):
+        """NaN and ±inf timestamps are untimestamped samples: they never
+        become the fleet's stream clock (``last_round_t``) or a stream's
+        failover clock, so a NaN-first stream cannot freeze either."""
+        front = FleetFront(
+            MagnitudeProbeModel(),
+            FleetConfig(n_shards=1, serve=_serve_config()),
+            registry=MetricsRegistry(),
+        )
+        try:
+            for t in (np.nan, 0.01, np.inf, 0.02, -np.inf):
+                front.submit("s", (0, 0, 1), (0, 0, 0), t=t)
+            front.submit("nan_only", (0, 0, 1), (0, 0, 0), t=np.nan)
+            front.pump()
+            assert front.last_round_t == 0.02
+            assert front._last_t == {"s": 0.02}
+        finally:
+            front.close()
+
+
 class TestBitIdentity:
     def test_fleet_matches_single_engine(self):
         streams = _streams(n_streams=5, n_samples=400)

@@ -11,8 +11,11 @@ The contracts under test:
 * batch wall-clock feeds each stream's deadline machinery, so sustained
   pressure sheds the CNN per stream and the magnitude fallback takes
   over;
-* each round filters every stream in one stacked SOS pass, bit-identical
-  to solo detectors, with raising sessions contained around it.
+* each round runs every stream's front half (validation, timestamps,
+  fusion) and its SOS filter in one stacked pass each, bit-identical to
+  solo detectors for every stream, faulty ones included, with raising
+  sessions contained around both;
+* non-finite timestamps never move the stream clock.
 """
 
 from __future__ import annotations
@@ -27,10 +30,13 @@ import numpy as np
 import pytest
 
 from repro.core.detector import DetectorConfig, FallDetector
+from repro.experiments import MagnitudeProbeModel
+from repro.faults import builtin_scenarios
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeConfig, ServeEngine
 from repro.serve.bench import ServeBenchConfig, synth_stream
 from repro.signal import filters
+from repro.signal.orientation import ComplementaryFilter
 
 CFG = DetectorConfig(window_ms=200.0, overlap=0.5, threshold=0.4,
                      consecutive_required=1)
@@ -115,6 +121,103 @@ def test_batched_matches_solo_with_faulty_neighbour():
     together = _feed(_engine(model), mixed)
     for stream_id in healthy:
         assert together[stream_id] == solo[stream_id]
+
+
+def test_batched_matches_solo_for_every_stream_under_every_fault(
+        monkeypatch):
+    """Every builtin fault scenario and some clean streams share one
+    engine, stepped at an uneven cadence: each stream — faulty ones
+    included — matches a solo detector fed the same blocks through
+    ``push_block``: staged windows byte for byte, detections, health
+    transitions and the ``health_report`` counters."""
+    model = MagnitudeProbeModel()
+    streams = _bench_streams([0, 1, 2], n_streams=8, duration_s=3.0)
+    base = _bench_streams([3], n_streams=8, duration_s=3.0)["s3"]
+    for name, scenario in builtin_scenarios(seed=5).items():
+        accel, gyro, t = base
+        t, accel, gyro = scenario.apply_arrays(t, accel, gyro)
+        streams[name] = (accel, gyro, t)
+    windows: dict[FallDetector, list] = {}     # keeps every detector alive
+    real_complete = FallDetector.complete
+
+    def spy_complete(self, request, *args, **kwargs):
+        windows.setdefault(self, []).append(
+            (request.sample_index, request.window.tobytes()))
+        return real_complete(self, request, *args, **kwargs)
+
+    monkeypatch.setattr(FallDetector, "complete", spy_complete)
+    cadence = [1, 7, 2, 23, 3, 13, 40, 5]
+    cuts, row = [], 0
+    while row < 300:
+        row += cadence[len(cuts) % len(cadence)]
+        cuts.append(row)
+    engine = _engine(model)
+    got = {sid: [] for sid in streams}
+    start = 0
+    for stop in cuts:
+        for i in range(start, stop):
+            for sid, (accel, gyro, t) in streams.items():
+                if i < len(t):
+                    engine.submit(sid, accel[i], gyro[i], t[i])
+        for sid, hit in engine.step():
+            got[sid].append(hit)
+        start = stop
+    assert engine.stream_errors == 0
+    for sid, (accel, gyro, t) in streams.items():
+        solo = FallDetector(model, CFG, registry=MetricsRegistry())
+        expected = []
+        start = 0
+        for stop in cuts:
+            rows = slice(start, min(stop, len(t)))
+            start = stop
+            if rows.start >= rows.stop:
+                continue
+            hits, requests = solo.push_block(accel[rows], gyro[rows],
+                                             t[rows])
+            expected.extend(hits)
+            for request in requests:
+                prob = float(model.predict(request.window[None])[0, 0])
+                hit = solo.complete(request, prob, latency_ms=0.0)
+                if hit is not None:
+                    expected.append(hit)
+        served = engine.session(sid).detector
+        assert got[sid] == expected, sid
+        assert windows.get(served, []) == windows.get(solo, []), sid
+        assert served.health_transitions == solo.health_transitions, sid
+        assert served.health_report() == solo.health_report(), sid
+    assert any(engine.session(name).detector.health_transitions
+               for name in builtin_scenarios())
+
+
+def test_non_finite_timestamps_leave_the_clock_and_neighbours_intact():
+    """A stream whose first timestamp is NaN, one whose first is +inf
+    and one that later sends +inf and -inf: ``step()`` keeps working
+    with SLO tracking armed, ``last_round_t`` is the latest *finite*
+    timestamp, nobody is quarantined and the clean streams' detections
+    match serving them alone."""
+    model = _ConstantModel(0.6)
+    clean = _bench_streams([0, 1])
+    solo = {}
+    for sid, stream in clean.items():
+        solo.update(_feed(_engine(model), {sid: stream}))
+    mixed = dict(clean)
+    for sid, index, bad in (("nan_first", 2, {0: np.nan}),
+                            ("inf_first", 3, {0: np.inf}),
+                            ("inf_later", 4, {30: np.inf, 31: -np.inf})):
+        accel, gyro, t = _bench_streams([index])[f"s{index}"]
+        t = t.copy()
+        for row, value in bad.items():
+            t[row] = value
+        mixed[sid] = (accel, gyro, t)
+    engine = _engine(model)
+    assert engine.slo is not None
+    together = _feed(engine, mixed)
+    assert engine.stream_errors == 0
+    for sid in clean:
+        assert together[sid] == solo[sid]
+    finite = [v for _, _, t in mixed.values() for v in t if np.isfinite(v)]
+    assert engine.last_round_t == max(finite)
+    assert engine.session("inf_later").detector.clock_anomalies == 2
 
 
 def test_faulty_stream_degrades_only_itself():
@@ -273,19 +376,24 @@ def test_engine_report_shape():
     assert report["batch_size"]["count"] == report["batches"]
 
 
-@pytest.mark.parametrize("stacked_raises", [False, True],
-                         ids=["stacked", "retried"])
-def test_stacked_round_contains_raisers_and_matches_solo(monkeypatch,
-                                                         stacked_raises):
+@pytest.mark.parametrize("arm", ["stacked", "retried", "fusion"])
+def test_stacked_round_contains_raisers_and_matches_solo(monkeypatch, arm):
     """One round mixes a two-job block (a long-gap reset), a one-row
-    block, an empty queue, a detector raising before the filter and one
-    raising after it: only the raisers are quarantined, everyone else
-    rides one stacked filter call and matches a solo detector fed the
-    same blocks, window for window and bit for bit.
+    block, an empty queue, a detector raising inside the stacked front
+    half and one raising after the filter: only the raisers are
+    quarantined, everyone else rides one stacked filter call and matches
+    a solo detector fed the same blocks, window for window and bit for
+    bit.  The front-half raiser makes the round's ``begin_blocks`` pass
+    raise, so every block is retried alone; since that pass writes no
+    detector before it succeeds, the retried blocks are not ingested
+    twice.
 
-    In the ``retried`` arm the stacked call itself raises: every begun
-    block is retried alone, the one-row block's retry raises too, and
-    only that session joins the quarantined raisers."""
+    In the ``retried`` arm the stacked filter call itself raises: every
+    begun block is retried alone, the one-row block's retry raises too,
+    and only that session joins the quarantined raisers.  In the
+    ``fusion`` arm the stacked fusion recurrence raises on the round
+    before (every block is retried alone and nobody is quarantined) and
+    on the one-row block's retry, which quarantines that session."""
     model = _ConstantModel(0.6)
     ids = ["gap", "one", "idle", "early", "late"]
     data = {sid: stream for sid, stream in
@@ -301,15 +409,23 @@ def test_stacked_round_contains_raisers_and_matches_solo(monkeypatch,
                "early": slice(60, 70), "late": slice(60, 70)},
               {sid: slice(90, 120) for sid in ("gap", "one", "idle")}]
 
-    windows: dict[int, list] = {}
+    windows: dict[FallDetector, list] = {}     # keeps every detector alive
     real_complete = FallDetector.complete
 
     def spy_complete(self, request, *args, **kwargs):
-        windows.setdefault(id(self), []).append(
+        windows.setdefault(self, []).append(
             (request.sample_index, request.window.copy()))
         return real_complete(self, request, *args, **kwargs)
 
     monkeypatch.setattr(FallDetector, "complete", spy_complete)
+    real_fuse = ComplementaryFilter.run
+    fused: list = []
+
+    def spy_fuse(self, accel_g, gyro_dps, starts, states, **kwargs):
+        fused.append(len(starts))
+        if arm == "fusion" and (len(fused) == 1 or accel_g.shape[0] == 1):
+            raise RuntimeError("fusion bug")
+        return real_fuse(self, accel_g, gyro_dps, starts, states, **kwargs)
 
     engine = _engine(model)
     got = {sid: [] for sid in ids}
@@ -319,20 +435,22 @@ def test_stacked_round_contains_raisers_and_matches_solo(monkeypatch,
             a, g, ts = data[sid]
             for i in range(rows.start, rows.stop):
                 engine.submit(sid, a[i], g[i], ts[i])
+        if k in (1, 2):
+            monkeypatch.setattr(ComplementaryFilter, "run", spy_fuse)
         if k == 2:
             def _raise(*args, **kwargs):
                 raise RuntimeError("detector bug")
 
             monkeypatch.setattr(engine.session("early").detector,
-                                "begin_block", _raise)
+                                "_begin_rows", _raise)
             monkeypatch.setattr(engine.session("late").detector,
                                 "finish_block", _raise)
             real_run_jobs = filters._run_jobs
 
             def spy_run_jobs(coeffs, prime, jobs):
                 stacked_calls.append(len(jobs))
-                if stacked_raises and (len(stacked_calls) == 1
-                                       or jobs[0][1].shape[0] == 1):
+                if arm == "retried" and (len(stacked_calls) == 1
+                                         or jobs[0][1].shape[0] == 1):
                     raise RuntimeError("filter bug")
                 return real_run_jobs(coeffs, prime, jobs)
 
@@ -341,10 +459,19 @@ def test_stacked_round_contains_raisers_and_matches_solo(monkeypatch,
             got[sid].append(hit)
         if k == 2:
             monkeypatch.setattr(filters, "_run_jobs", real_run_jobs)
-    # gap: 2 jobs (reset), one: 1, late: 1 (it raises after the filter);
-    # retried, each block alone in session order.
-    assert stacked_calls == ([4, 2, 1, 1] if stacked_raises else [4])
-    raisers = {"early", "late"} | ({"one"} if stacked_raises else set())
+            monkeypatch.setattr(ComplementaryFilter, "run", real_fuse)
+    # Round 1 fuses five one-segment blocks together (raising in the
+    # ``fusion`` arm, then each alone).  Round 2's front half raises at
+    # ``early`` before fusing anything and is retried block by block:
+    # gap (two segments), one, late.
+    assert fused == ([5, 1, 1, 1, 1, 1] if arm == "fusion" else [5]) + [
+        2, 1, 1]
+    # gap: 2 jobs (reset), one: 1 (unless its front half raised), late:
+    # 1 (it raises after the filter); retried, each block alone in
+    # session order.
+    assert stacked_calls == ([4, 2, 1, 1] if arm == "retried" else
+                             [3] if arm == "fusion" else [4])
+    raisers = {"early", "late"} | ({"one"} if arm != "stacked" else set())
     report = engine.stream_report()
     assert {sid for sid in ids
             if report[sid]["health"] == "quarantined"} == raisers
@@ -367,12 +494,14 @@ def test_stacked_round_contains_raisers_and_matches_solo(monkeypatch,
                     expected.append(hit)
         served = engine.session(sid).detector
         assert got[sid] == expected
-        mine, theirs = windows[id(served)], windows[id(solo)]
+        mine, theirs = windows[served], windows[solo]
         assert [i for i, _ in mine] == [i for i, _ in theirs]
         assert all(np.array_equal(w, v)
                    for (_, w), (_, v) in zip(mine, theirs))
         assert np.array_equal(served._filter.state, solo._filter.state)
         assert np.array_equal(served._buffer, solo._buffer)
+        assert served.health_report() == solo.health_report()
+        assert served.health_transitions == solo.health_transitions
 
 
 def test_serve_path_does_not_import_scipy_signal():

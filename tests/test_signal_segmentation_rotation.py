@@ -187,18 +187,22 @@ class TestOrientation:
 
     def test_process_equals_streaming_update(self):
         """``process`` (training inputs) matches the streaming
-        ``update_block`` (serving) fed in uneven chunks to within a few
-        ulps: ``lfilter`` reassociates the blend, so not bit for bit."""
+        recurrence ``run`` (serving) fed in uneven chunks, state carried,
+        to within a few ulps: ``lfilter`` reassociates the blend, so not
+        bit for bit."""
         rng = np.random.default_rng(0)
         accel = rng.normal([0, 0, 1], 0.05, size=(2000, 3))
         gyro = rng.normal(0, 20, size=(2000, 3))
         batch = ComplementaryFilter(fs=100.0).process(accel, gyro)
         stream_filter = ComplementaryFilter(fs=100.0)
         cuts = [0, 1, 4, 150, 151, 777, 1300, 2000]
-        streamed = np.vstack([
-            stream_filter.update_block(accel[a:b], gyro[a:b])
-            for a, b in zip(cuts[:-1], cuts[1:])
-        ])
+        chunks = []
+        state = None
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            chunks.append(stream_filter.run(accel[a:b], gyro[a:b], [0],
+                                            [state]))
+            state = chunks[-1][-1]
+        streamed = np.vstack(chunks)
         np.testing.assert_allclose(batch, streamed, rtol=0, atol=1e-12)
 
     def test_shape_validation(self):
